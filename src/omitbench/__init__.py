@@ -18,7 +18,6 @@ from .model import (
     cavity_susceptibility,
     cooperativity,
     effective_linewidth,
-    instability_check,
     intracavity_photon_number,
     mechanical_susceptibility,
     probe_transmission,
@@ -46,7 +45,6 @@ from .fitting import (
     ParamBinding,
     extract_linewidth,
     fit,
-    init_heuristics,
     residuals,
 )
 
@@ -64,7 +62,6 @@ __all__ = [
     "cavity_susceptibility",
     "cooperativity",
     "effective_linewidth",
-    "instability_check",
     "intracavity_photon_number",
     "mechanical_susceptibility",
     "probe_transmission",
@@ -88,7 +85,6 @@ __all__ = [
     "ParamBinding",
     "extract_linewidth",
     "fit",
-    "init_heuristics",
     "residuals",
     "__version__",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import click
@@ -44,12 +44,14 @@ from .fitting import (
     fit as run_fit,
 )
 from .model import (
+    PARAM_UNITS,
     TWO_PI,
     PumpConfig,
     PumpScheme,
     SingularDenominator,
     cooperativity,
     intracavity_photon_number,
+    param_to_hz,
 )
 from .sweeps import (
     NoiseSpec,
@@ -224,7 +226,7 @@ def map_cmd(state: CliState, scheme, ncav, power_dbm, svg_path):
     cfg = _require_config(state)
     out = _require_out(state)
     pump = _resolve_pumps(cfg, scheme, None, ncav, power_dbm)[0]
-    aligned = pump.at_delta(pump.scheme.sign * cfg.mechanics.omega_m)
+    aligned = replace(pump, delta=pump.scheme.sign * cfg.mechanics.omega_m)
     try:
         delta_grid = default_delta_grid(
             pump.scheme, cfg.cavity, cfg.mechanics,
@@ -260,21 +262,13 @@ def _default_bounds(name: str, init: float) -> tuple[float, float]:
     return init * (1 - 1e-2), init * (1 + 1e-2)
 
 
-def _spec_value(name: str, value: float | None) -> float | None:
-    """Config binding values are Hz except the photon count."""
-    if value is None:
-        return None
-    return value if name == "n_cav" else TWO_PI * value
-
-
 def _binding_from_spec(spec, defaults: dict) -> ParamBinding:
-    init = _spec_value(spec.name, spec.init)
+    init = spec.init
     if init is None:
         init = defaults[spec.name]
     if init is None:
         raise ConfigError(f"binding {spec.name}: no init value available")
-    lo = _spec_value(spec.name, spec.lo)
-    hi = _spec_value(spec.name, spec.hi)
+    lo, hi = spec.lo, spec.hi
     if spec.mode in ("free", "shared") and (lo is None or hi is None):
         dlo, dhi = _default_bounds(spec.name, init)
         lo = dlo if lo is None else lo
@@ -298,16 +292,18 @@ def _file_n_cav(data: DatasetFile, cfg: RunConfig) -> float | None:
     return None
 
 
+def _dataset_trace(path, data: DatasetFile):
+    """The trace of a dataset file; an error names the file."""
+    try:
+        return data.to_trace()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _dataset_bindings(data: DatasetFile, cfg: RunConfig, spec_lists) -> dict:
-    defaults = {
-        "omega_c": cfg.cavity.omega_c,
-        "kappa": cfg.cavity.kappa,
-        "kappa_ext": cfg.cavity.kappa_ext,
-        "omega_m": cfg.mechanics.omega_m,
-        "gamma_m": cfg.mechanics.gamma_m,
-        "g0": cfg.mechanics.g0,
-        "n_cav": _file_n_cav(data, cfg),
-    }
+    # Parameter names are the CavityParams and MechanicalParams field names.
+    defaults = {**asdict(cfg.cavity), **asdict(cfg.mechanics),
+                "n_cav": _file_n_cav(data, cfg)}
     bindings = {}
     for specs in spec_lists:
         for spec in specs:
@@ -347,7 +343,8 @@ def fit_cmd(state: CliState, datasets):
             data = read_dataset(p)
             spec_lists = [global_bindings, by_path.get(p, ())]
             bindings = _dataset_bindings(data, cfg, spec_lists)
-            fit_datasets.append(FitDataset(data.to_trace(), data.scheme, bindings))
+            fit_datasets.append(FitDataset(_dataset_trace(p, data), data.scheme,
+                                           bindings))
         problem = FitProblem(fit_datasets)
     except (DatasetFormatError, ConfigError, ValueError, OSError) as exc:
         _fail(EXIT_CONFIG, str(exc))
@@ -363,13 +360,13 @@ def fit_cmd(state: CliState, datasets):
     click.echo(f"{out}: converged={result.converged} "
                f"iterations={result.iterations} "
                f"rms_residual={result.rms_residual:.6e}")
-    for slot in problem.slot_names:
-        base = slot.split("[")[0].split("@")[0]
-        v, s = result.values[slot], result.stderr[slot]
-        if base == "n_cav":
+    for slot, name in zip(problem.slot_names, problem.slot_params):
+        v = param_to_hz(name, result.values[slot])
+        s = param_to_hz(name, result.stderr[slot])
+        if PARAM_UNITS[name] == "count":
             click.echo(f"  {slot} = {v:.6e} +/- {s:.2e}")
         else:
-            click.echo(f"  {slot} = {v / TWO_PI:.6f} Hz +/- {s / TWO_PI:.2e} Hz")
+            click.echo(f"  {slot} = {v:.6f} Hz +/- {s:.2e} Hz")
     if not result.converged:
         _fail(EXIT_NOT_CONVERGED,
               f"fit did not converge within {result.iterations} iterations")
@@ -424,7 +421,7 @@ def linewidth(state: CliState, dataset):
     also the cooperativity implied by the backaction width law."""
     try:
         data = read_dataset(dataset)
-        trace = data.to_trace()
+        trace = _dataset_trace(dataset, data)
     except (DatasetFormatError, ValueError, OSError) as exc:
         _fail(EXIT_CONFIG, str(exc))
     try:

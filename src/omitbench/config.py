@@ -16,7 +16,8 @@ from pathlib import Path
 
 import jsonschema
 
-from .model import TWO_PI, CavityParams, MechanicalParams, PumpConfig, PumpScheme
+from .model import (PARAM_UNITS, TWO_PI, CavityParams, MechanicalParams, PumpConfig,
+                    PumpScheme, param_from_hz)
 from .sweeps import (
     LINE_HALF_WIDTH_GAMMA_EFF,
     LINE_POINTS,
@@ -40,8 +41,7 @@ _BINDING_SCHEMA = {
     "additionalProperties": False,
     "required": ["name", "mode"],
     "properties": {
-        "name": {"enum": ["omega_c", "kappa", "kappa_ext", "omega_m",
-                          "gamma_m", "g0", "n_cav"]},
+        "name": {"enum": list(PARAM_UNITS)},
         "mode": {"enum": ["fixed", "free", "shared"]},
         "group": {"type": "string", "minLength": 1},
         "init": {"type": "number"},
@@ -145,7 +145,8 @@ class GridSettings:
 
 @dataclass(frozen=True)
 class BindingSpec:
-    """Raw (Hz-unit) binding entry from the config file."""
+    """Binding entry from the config file, ``init``/``lo``/``hi`` converted
+    to internal units (rad/s, or a count for n_cav)."""
 
     name: str
     mode: str
@@ -196,6 +197,12 @@ def _build_pump(entry: dict, cfg_mech: MechanicalParams) -> PumpConfig:
     return PumpConfig(scheme, delta, p_in=watts)
 
 
+def _binding_spec(entry: dict) -> BindingSpec:
+    name = entry["name"]
+    values = {k: param_from_hz(name, entry[k]) for k in ("init", "lo", "hi") if k in entry}
+    return BindingSpec(name, entry["mode"], group=entry.get("group"), **values)
+
+
 def load_config(path) -> RunConfig:
     """Load, schema-validate and unit-convert a JSON config file.
 
@@ -240,10 +247,10 @@ def load_config(path) -> RunConfig:
     fit = None
     if "fit" in raw:
         fit = FitSettings(
-            bindings=tuple(BindingSpec(**b) for b in raw["fit"].get("bindings", [])),
+            bindings=tuple(_binding_spec(b) for b in raw["fit"].get("bindings", [])),
             datasets=tuple(
                 FitDatasetSpec(path=d.get("path"),
-                               bindings=tuple(BindingSpec(**b)
+                               bindings=tuple(_binding_spec(b)
                                               for b in d.get("bindings", [])))
                 for d in raw["fit"].get("datasets", [])),
         )

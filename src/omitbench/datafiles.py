@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import TWO_PI, PumpScheme
+from .model import PARAM_UNITS, TWO_PI, PumpScheme, param_to_hz
 from .sweeps import SweepMap, SweepTrace
 
 __all__ = [
@@ -166,14 +166,23 @@ def write_dataset(path, data: DatasetFile) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_dataset(path) -> DatasetFile:
-    """Parse a DatasetFile, reporting the offending line on any format error."""
-    path = Path(path)
-    meta: dict = {}
-    probe: list[float] = []
-    pump: list[float] = []
-    mag: list[float] = []
-    header_seen = False
+def _floats(path, lineno, fields, what) -> list[float]:
+    """``fields`` as finite floats; ``what`` names a field in the errors."""
+    try:
+        values = list(map(float, fields))
+    except ValueError:
+        raise DatasetFormatError(path, lineno, f"non-numeric {what}") from None
+    if not all(map(math.isfinite, values)):
+        raise DatasetFormatError(path, lineno, "non-finite value")
+    return values
+
+
+def _read_csv(path, meta: dict):
+    """Yield ``(line number, header fields)`` of a `#`-commented CSV file,
+    then ``(line number, values)`` for each data row: as many finite floats
+    as the header has fields.  Blank lines are skipped and ``# key: value``
+    comments are parsed into ``meta`` as they are reached."""
+    header = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -187,30 +196,34 @@ def read_dataset(path) -> DatasetFile:
                 key, value = body.split(":", 1)
                 meta[key.strip()] = _parse_meta_value(value)
                 continue
-            if not header_seen:
-                if line != TRACE_HEADER:
-                    raise DatasetFormatError(
-                        path, lineno, f"expected header {TRACE_HEADER!r}, got {line!r}")
-                header_seen = True
+            fields = line.split(",")
+            if header is None:
+                header = fields
+                yield lineno, fields
                 continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DatasetFormatError(path, lineno,
-                                         f"expected 3 fields, got {len(parts)}")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise DatasetFormatError(path, lineno, "non-numeric field") from None
-            if not all(math.isfinite(v) for v in values):
-                raise DatasetFormatError(path, lineno, "non-finite value")
-            if values[2] < 0:
-                raise DatasetFormatError(path, lineno, "s21_mag must be >= 0")
-            probe.append(values[0])
-            pump.append(values[1])
-            mag.append(values[2])
-    if not header_seen:
+            if len(fields) != len(header):
+                raise DatasetFormatError(
+                    path, lineno, f"expected {len(header)} fields, got {len(fields)}")
+            yield lineno, _floats(path, lineno, fields, "field")
+
+
+def read_dataset(path) -> DatasetFile:
+    """Parse a DatasetFile, reporting the offending line on any format error."""
+    path = Path(path)
+    meta: dict = {}
+    lines = _read_csv(path, meta)
+    lineno, header = next(lines, (0, None))
+    if header is None:
         raise DatasetFormatError(path, 0, "missing column header")
-    if not probe:
+    if ",".join(header) != TRACE_HEADER:
+        raise DatasetFormatError(
+            path, lineno, f"expected header {TRACE_HEADER!r}, got {','.join(header)!r}")
+    rows = []
+    for lineno, values in lines:
+        if values[2] < 0:
+            raise DatasetFormatError(path, lineno, "s21_mag must be >= 0")
+        rows.append(values)
+    if not rows:
         raise DatasetFormatError(path, 0, "no data rows")
     if "scheme" not in meta:
         raise DatasetFormatError(path, 0, "missing `# scheme:` metadata")
@@ -218,7 +231,8 @@ def read_dataset(path) -> DatasetFile:
         PumpScheme.parse(meta["scheme"])
     except ValueError as exc:
         raise DatasetFormatError(path, 0, str(exc)) from None
-    return DatasetFile(np.array(probe), np.array(pump), np.array(mag), meta)
+    probe, pump, mag = map(np.array, zip(*rows))
+    return DatasetFile(probe, pump, mag, meta)
 
 
 def write_map(path, smap: SweepMap) -> None:
@@ -238,57 +252,24 @@ def read_map(path) -> SweepMap:
     """Parse a map file written by :func:`write_map`."""
     path = Path(path)
     meta: dict = {}
-    omega_hz: np.ndarray | None = None
-    delta_hz: list[float] = []
-    rows: list[list[float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" not in body:
-                    raise DatasetFormatError(path, lineno,
-                                             "comment is not a `key: value` pair")
-                key, value = body.split(":", 1)
-                meta[key.strip()] = _parse_meta_value(value)
-                continue
-            parts = line.split(",")
-            if omega_hz is None:
-                if parts[0] != MAP_HEADER_LABEL:
-                    raise DatasetFormatError(
-                        path, lineno,
-                        f"expected header starting with {MAP_HEADER_LABEL!r}")
-                try:
-                    omega_hz = np.array([float(p) for p in parts[1:]])
-                except ValueError:
-                    raise DatasetFormatError(path, lineno,
-                                             "non-numeric axis value") from None
-                continue
-            if len(parts) != len(omega_hz) + 1:
-                raise DatasetFormatError(
-                    path, lineno,
-                    f"expected {len(omega_hz) + 1} fields, got {len(parts)}")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise DatasetFormatError(path, lineno, "non-numeric field") from None
-            if not all(math.isfinite(v) for v in values):
-                raise DatasetFormatError(path, lineno, "non-finite value")
-            delta_hz.append(values[0])
-            rows.append(values[1:])
-    if omega_hz is None or not rows:
+    lines = _read_csv(path, meta)
+    lineno, header = next(lines, (0, None))
+    if header is None:
         raise DatasetFormatError(path, 0, "no matrix content")
-    return SweepMap(TWO_PI * np.array(delta_hz), TWO_PI * omega_hz,
-                    np.array(rows), meta)
+    if header[0] != MAP_HEADER_LABEL:
+        raise DatasetFormatError(
+            path, lineno, f"expected header starting with {MAP_HEADER_LABEL!r}")
+    omega_hz = np.array(_floats(path, lineno, header[1:], "axis value"))
+    table = np.array([values for _, values in lines])
+    if not len(table):
+        raise DatasetFormatError(path, 0, "no matrix content")
+    return SweepMap(TWO_PI * table[:, 0], TWO_PI * omega_hz,
+                    np.ascontiguousarray(table[:, 1:]), meta)
 
 
-def _slot_to_hz(name_with_tag: str, value: float) -> tuple[str, float]:
-    base = name_with_tag.split("[")[0].split("@")[0]
-    if base == "n_cav":
-        return "value", value
-    return "value_hz", value / TWO_PI
+def _suffix(name: str) -> str:
+    """Key suffix of a parameter in files: ``_hz`` for a rate, none for a count."""
+    return "_hz" if PARAM_UNITS[name] == "rad/s" else ""
 
 
 def write_fit_report(path, result, problem, dataset_paths=None) -> None:
@@ -296,11 +277,11 @@ def write_fit_report(path, result, problem, dataset_paths=None) -> None:
     rms residual, iteration count and convergence flag, plus the resolved
     per-dataset parameter sets."""
     params = {}
-    for slot, value in result.values.items():
-        key, v = _slot_to_hz(slot, value)
-        skey, s = _slot_to_hz(slot, result.stderr.get(slot, math.nan))
-        entry = {key: v, skey.replace("value", "stderr"): s}
-        params[slot] = entry
+    for slot, name in zip(problem.slot_names, problem.slot_params):
+        params[slot] = {
+            "value" + _suffix(name): param_to_hz(name, result.values[slot]),
+            "stderr" + _suffix(name): param_to_hz(name, result.stderr.get(slot, math.nan)),
+        }
     datasets = []
     for i, resolved in enumerate(result.dataset_params):
         entry = {
@@ -310,11 +291,8 @@ def write_fit_report(path, result, problem, dataset_paths=None) -> None:
         }
         if dataset_paths is not None:
             entry["path"] = str(dataset_paths[i])
-        entry["parameters"] = {
-            (n if n == "n_cav" else n + "_hz"):
-                (v if n == "n_cav" else v / TWO_PI)
-            for n, v in resolved.items()
-        }
+        entry["parameters"] = {n + _suffix(n): param_to_hz(n, v)
+                               for n, v in resolved.items()}
         datasets.append(entry)
     report = {
         "converged": bool(result.converged),
@@ -328,17 +306,12 @@ def write_fit_report(path, result, problem, dataset_paths=None) -> None:
 
 
 def write_residual_csv(path, problem, result) -> None:
-    """Per-point residual table for all datasets of a fitted problem."""
-    from .fitting import _dataset_residuals
-
+    """Per-point unweighted residual table for all datasets of a fitted problem."""
     lines = ["dataset,probe_freq_hz,s21_data,s21_model,residual"]
     for i, (ds, params) in enumerate(zip(problem.datasets, result.dataset_params)):
-        weightless = ds.weights
-        ds.weights = None
-        raw = _dataset_residuals(ds, params)
-        ds.weights = weightless
-        probe_hz = ds._omega_p / TWO_PI
-        data = ds._data
+        raw = ds.residuals(params)
+        probe_hz = ds.omega_p / TWO_PI
+        data = ds.data
         model = data + raw
         for j in range(ds.n_points):
             lines.append("%d,%s,%s,%s,%s" % (

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
+    PARAM_UNITS,
     TWO_PI,
     CavityParams,
     MechanicalParams,
@@ -39,11 +40,10 @@ __all__ = [
     "FitResult",
     "residuals",
     "fit",
-    "init_heuristics",
     "extract_linewidth",
 ]
 
-PARAM_NAMES = ("omega_c", "kappa", "kappa_ext", "omega_m", "gamma_m", "g0", "n_cav")
+PARAM_NAMES = tuple(PARAM_UNITS)
 
 # Rates kept positive by optimizing their logarithm.
 LOG_PARAMS = frozenset({"kappa", "gamma_m", "n_cav", "g0"})
@@ -135,7 +135,11 @@ class ParamBinding:
 
 @dataclass
 class FitDataset:
-    """One trace plus its pump scheme and parameter bindings."""
+    """One trace plus its pump scheme and parameter bindings.
+
+    ``omega_d`` (pump), ``omega_p`` (absolute probe axis, rad/s) and
+    ``data`` (|S21| samples) are derived from the trace on construction.
+    """
 
     trace: SweepTrace
     scheme: PumpScheme
@@ -154,26 +158,34 @@ class FitDataset:
             omega_p = omega_d + self.trace.omega
         else:
             omega_p = self.trace.omega
-        self._omega_d = omega_d
-        self._omega_p = np.asarray(omega_p, dtype=float)
-        self._data = self.trace.magnitude()
+        self.omega_d = omega_d
+        self.omega_p = np.asarray(omega_p, dtype=float)
+        self.data = self.trace.magnitude()
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != self._data.shape:
+            if self.weights.shape != self.data.shape:
                 raise ValueError("weights length must match the trace")
 
     @property
     def n_points(self) -> int:
-        return len(self._data)
+        return len(self.data)
+
+    def residuals(self, p: dict[str, float]) -> np.ndarray:
+        """Unweighted residual |S21_model| - |S21_data| at the parameter set
+        ``p`` (one value per name in ``PARAM_NAMES``).  A singular or
+        unphysical parameter set gives the finite penalty value instead."""
+        return _dataset_residuals(self, p, None)
 
 
 class FitProblem:
     """A set of datasets fitted together through their parameter bindings.
 
-    Free bindings get one slot per dataset; shared bindings one slot per
-    (name, group) pair, which must be declared identically wherever it
-    appears.  ``shared`` bindings passed at problem level are merged into
-    every dataset that does not bind that name itself.
+    Free bindings get one slot per dataset (``kappa[0]``); shared bindings
+    one slot per (name, group) pair (``gamma_m@group``), which must be
+    declared identically wherever it appears.  ``slot_params`` names the
+    parameter of each slot in ``slot_names``.  ``shared`` bindings passed
+    at problem level are merged into every dataset that does not bind that
+    name itself.
     """
 
     def __init__(self, datasets, shared: dict[str, ParamBinding] | None = None):
@@ -192,6 +204,7 @@ class FitProblem:
 
     def _build_slots(self):
         slots: list[str] = []
+        params: list[str] = []
         inits: list[float] = []
         los: list[float] = []
         his: list[float] = []
@@ -201,6 +214,7 @@ class FitProblem:
 
         def add_slot(key, binding):
             slots.append(key)
+            params.append(binding.name)
             inits.append(binding.init)
             los.append(binding.lo)
             his.append(binding.hi)
@@ -230,6 +244,7 @@ class FitProblem:
             index_maps.append(mapping)
 
         self.slot_names = tuple(slots)
+        self.slot_params = tuple(params)
         self.init_values = np.array(inits, dtype=float)
         self.lower_bounds = np.array(los, dtype=float)
         self.upper_bounds = np.array(his, dtype=float)
@@ -257,17 +272,17 @@ class FitProblem:
         return out
 
 
-def _dataset_residuals(ds: FitDataset, p: dict[str, float]) -> np.ndarray:
+def _dataset_residuals(ds: FitDataset, p: dict[str, float], weights) -> np.ndarray:
     try:
         cav = CavityParams(p["omega_c"], p["kappa"], p["kappa_ext"])
         mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
-        pump = PumpConfig(ds.scheme, ds._omega_d - p["omega_c"], n_cav=p["n_cav"])
-        model = np.abs(probe_transmission(ds._omega_p - ds._omega_d, pump, cav, mech))
-        res = model - ds._data
+        pump = PumpConfig(ds.scheme, ds.omega_d - p["omega_c"], n_cav=p["n_cav"])
+        model = np.abs(probe_transmission(ds.omega_p - ds.omega_d, pump, cav, mech))
+        res = model - ds.data
     except (SingularDenominator, ValueError):
         return np.full(ds.n_points, PENALTY_RESIDUAL)
-    if ds.weights is not None:
-        res = res * ds.weights
+    if weights is not None:
+        res = res * weights
     # Guard: a trial evaluation must never leak a non-finite residual.
     return np.nan_to_num(res, nan=PENALTY_RESIDUAL,
                          posinf=PENALTY_RESIDUAL, neginf=-PENALTY_RESIDUAL)
@@ -280,7 +295,7 @@ def residuals(problem: FitProblem, values) -> np.ndarray:
     ``problem.slot_names`` order.  Singular or unphysical trial points
     contribute the finite penalty value instead of raising.
     """
-    parts = [_dataset_residuals(ds, p)
+    parts = [_dataset_residuals(ds, p, ds.weights)
              for ds, p in zip(problem.datasets, problem.dataset_values(values))]
     return np.concatenate(parts)
 
@@ -432,14 +447,6 @@ def _uncertainties(res_internal, x, rnorm, n_pts, n_par, values_phys, log_flags)
     return sig
 
 
-def _smooth(y: np.ndarray, window: int) -> np.ndarray:
-    window = max(3, int(window) | 1)
-    kernel = np.ones(window) / window
-    pad = window // 2
-    padded = np.concatenate([np.full(pad, y[0]), y, np.full(pad, y[-1])])
-    return np.convolve(padded, kernel, mode="valid")
-
-
 def _noise_estimate(y: np.ndarray) -> float:
     """Robust noise std from first differences (immune to slow structure)."""
     d = np.diff(y)
@@ -508,39 +515,3 @@ def extract_linewidth(trace: SweepTrace) -> float:
             f"(need >= {MIN_POINTS_ACROSS_FWHM})")
     return float(right - left)
 
-
-def init_heuristics(trace: SweepTrace) -> dict:
-    """Starting values from a raw trace.
-
-    Returns a dict with ``omega_c`` (axis position of the smoothed notch
-    minimum), ``kappa`` (full width at half dip depth, measured on power)
-    and ``feature_center`` (extremum of the background-subtracted signal),
-    all in the units of the trace axis (rad/s).
-
-    Raises
-    ------
-    FeatureNotFound
-        If the dip contrast is below 3x the noise estimate.
-    """
-    mag = trace.magnitude()
-    axis = trace.omega
-    n = len(mag)
-    power = mag ** 2
-    smooth = _smooth(power, n // 50)
-    k = max(3, n // 20)
-    background = float(np.median(np.concatenate([smooth[:k], smooth[-k:]])))
-    dip_idx = int(np.argmin(smooth))
-    depth = background - float(smooth[dip_idx])
-    noise = _noise_estimate(power)
-    if depth <= max(3.0 * noise, 1e-9 * max(background, 1e-30)):
-        raise FeatureNotFound("no dip above the noise floor")
-    left, right = _half_crossings(axis, smooth - background, dip_idx, -depth / 2.0)
-    if left is None or right is None:
-        raise FeatureNotFound("dip has no half-depth crossing inside the trace")
-    dev = power - background
-    feat_idx = int(np.argmax(np.abs(dev)))
-    return {
-        "omega_c": float(axis[dip_idx]),
-        "kappa": float(right - left),
-        "feature_center": float(axis[feat_idx]),
-    }

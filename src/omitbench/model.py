@@ -27,7 +27,7 @@ accept scalar or ndarray probe offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -41,9 +41,16 @@ DENOMINATOR_GUARD = 1e-9
 
 TWO_PI = 2.0 * np.pi
 
+# Unit of each model parameter: "rad/s" for an angular rate, which every file,
+# config and CLI boundary gives in Hz, or "count" for the photon number.
+PARAM_UNITS = {"omega_c": "rad/s", "kappa": "rad/s", "kappa_ext": "rad/s",
+               "omega_m": "rad/s", "gamma_m": "rad/s", "g0": "rad/s",
+               "n_cav": "count"}
+
 __all__ = [
     "HBAR",
     "DENOMINATOR_GUARD",
+    "PARAM_UNITS",
     "SingularDenominator",
     "PumpScheme",
     "CavityParams",
@@ -53,10 +60,22 @@ __all__ = [
     "mechanical_susceptibility",
     "intracavity_photon_number",
     "probe_transmission",
+    "probe_transmission_rows",
     "cooperativity",
     "effective_linewidth",
-    "instability_check",
+    "param_to_hz",
+    "param_from_hz",
 ]
+
+
+def param_to_hz(name: str, value):
+    """Boundary value of parameter ``name``: Hz for a rate, a count unchanged."""
+    return value / TWO_PI if PARAM_UNITS[name] == "rad/s" else value
+
+
+def param_from_hz(name: str, value):
+    """Internal value of parameter ``name`` given in Hz (rate) or as a count."""
+    return TWO_PI * value if PARAM_UNITS[name] == "rad/s" else value
 
 
 class SingularDenominator(Exception):
@@ -156,10 +175,6 @@ class MechanicalParams:
     def from_hz(cls, f_m, gamma_m_hz, g0_hz) -> "MechanicalParams":
         return cls(TWO_PI * f_m, TWO_PI * gamma_m_hz, TWO_PI * g0_hz)
 
-    def is_sideband_resolved(self, cav: CavityParams) -> bool:
-        """Whether the mode sits outside the cavity linewidth (omega_m > kappa)."""
-        return self.omega_m > cav.kappa
-
 
 @dataclass(frozen=True)
 class PumpConfig:
@@ -194,17 +209,9 @@ class PumpConfig:
         if self.p_in is not None and self.p_in < 0:
             raise ValueError("p_in must be non-negative")
 
-    @classmethod
-    def from_hz(cls, scheme, delta_hz, n_cav=None, p_in=None) -> "PumpConfig":
-        return cls(PumpScheme.parse(scheme), TWO_PI * delta_hz, n_cav=n_cav, p_in=p_in)
-
     def omega_d(self, cav: CavityParams) -> float:
         """Absolute pump frequency omega_c + Delta (rad/s)."""
         return cav.omega_c + self.delta
-
-    def at_delta(self, delta) -> "PumpConfig":
-        """Same drive, different detuning (rad/s)."""
-        return replace(self, delta=delta)
 
 
 def cavity_susceptibility(omega, delta, kappa):
@@ -284,8 +291,7 @@ def effective_linewidth(mech: MechanicalParams, coop: float, scheme: PumpScheme)
 
     Red pumping adds damping, gamma_eff = gamma_m (1 + C); blue pumping
     removes it, gamma_eff = gamma_m (1 - C), which reaches zero at the
-    parametric instability C = 1.  A non-positive return is meaningful --
-    see :func:`instability_check`.
+    parametric instability C = 1, so a non-positive return is meaningful.
     """
     if coop < 0:
         raise ValueError("cooperativity must be non-negative")
@@ -293,29 +299,55 @@ def effective_linewidth(mech: MechanicalParams, coop: float, scheme: PumpScheme)
     return mech.gamma_m * (1.0 - scheme.sign * coop)
 
 
-def instability_check(mech: MechanicalParams, coop: float, scheme: PumpScheme) -> bool:
-    """True when the mechanical mode self-oscillates (blue pumping, C >= 1).
+def _blue_gate(pump: PumpConfig, cav: CavityParams, mech: MechanicalParams,
+               n_cav: float) -> SingularDenominator | None:
+    """The error for a blue pump at or past the parametric instability, else None.
 
-    Red pumping only ever broadens the mode and is unconditionally stable.
+    The backaction strength follows |chi_c|^2 at the pump sideband, so the
+    gate uses the cooperativity weighted by cavity-sideband alignment:
+    detuning the sideband from the cavity by d = Delta +/- omega_m reduces
+    the aligned cooperativity by (kappa/2)^2 / ((kappa/2)^2 + d^2).
     """
-    if coop < 0:
-        raise ValueError("cooperativity must be non-negative")
-    scheme = PumpScheme.parse(scheme)
-    return scheme is PumpScheme.BLUE and coop >= 1.0
+    if pump.scheme is PumpScheme.BLUE and n_cav > 0:
+        coop = cooperativity(mech.g0, n_cav, cav.kappa, mech.gamma_m)
+        d = pump.delta + pump.scheme.sign * (-mech.omega_m)  # Delta - sign*omega_m
+        half_kappa_sq = (0.5 * cav.kappa) ** 2
+        c_loc = coop * half_kappa_sq / (half_kappa_sq + d * d)
+        if c_loc >= 1.0:
+            return SingularDenominator(
+                "blue pumping past the parametric instability "
+                f"(sideband-aligned cooperativity {c_loc:.6g} >= 1); "
+                "steady-state response is undefined",
+                delta=pump.delta,
+            )
+    return None
 
 
-def _local_cooperativity(pump: PumpConfig, cav: CavityParams, mech: MechanicalParams,
-                         n_cav: float) -> float:
-    """Cooperativity weighted by cavity-sideband alignment.
+def _s21(omega, scheme: PumpScheme, delta, n_cav, cav: CavityParams,
+         mech: MechanicalParams):
+    """S21 behind the denominator guard.
 
-    The backaction strength follows |chi_c|^2 at the pump sideband; detuning
-    the sideband from the cavity by d = Delta +/- omega_m reduces the aligned
-    cooperativity by (kappa/2)^2 / ((kappa/2)^2 + d^2).
+    ``omega`` is a 1-D array.  ``delta`` and ``n_cav`` are scalars, or
+    (rows, 1) columns that broadcast against ``omega``; the guard then names
+    the lowest point of the first singular row.
     """
-    coop = cooperativity(mech.g0, n_cav, cav.kappa, mech.gamma_m)
-    d = pump.delta + pump.scheme.sign * (-mech.omega_m)  # Delta - sign*omega_m
-    half_kappa_sq = (0.5 * cav.kappa) ** 2
-    return coop * half_kappa_sq / (half_kappa_sq + d * d)
+    chi_c = cavity_susceptibility(omega, delta, cav.kappa)
+    chi_m = mechanical_susceptibility(omega, mech, scheme)
+    denom = 1.0 - scheme.sign * (mech.g0 ** 2) * n_cav * chi_c * chi_m
+    if np.min(np.abs(denom)) < DENOMINATOR_GUARD:
+        mag = np.atleast_2d(np.abs(denom))
+        r = int(np.argmax(mag.min(axis=1) < DENOMINATOR_GUARD))
+        c = int(np.argmin(mag[r]))
+        raise SingularDenominator(
+            f"interference denominator |1 -/+ g0^2 n chi_c chi_m| = {mag[r, c]:.3e} "
+            f"< {DENOMINATOR_GUARD:g} at probe offset {omega[c] / TWO_PI:.6f} Hz",
+            omega=float(omega[c]), delta=float(np.ravel(delta)[r]),
+        )
+    # 1 - (kappa_ext/2) chi_c / denom, in place: a map's peak memory stays at
+    # three grid-sized arrays.
+    s21 = 0.5 * cav.kappa_ext * chi_c
+    s21 /= denom
+    return np.subtract(1.0, s21, out=s21)
 
 
 def probe_transmission(omega, pump: PumpConfig, cav: CavityParams,
@@ -329,7 +361,7 @@ def probe_transmission(omega, pump: PumpConfig, cav: CavityParams,
 
     Parameters
     ----------
-    omega : float or ndarray
+    omega : float or 1-D ndarray
         Probe offset(s) Omega = omega_p - omega_d (rad/s).
     pump : PumpConfig
     cav : CavityParams
@@ -348,30 +380,48 @@ def probe_transmission(omega, pump: PumpConfig, cav: CavityParams,
         damping <= 0 at this detuning).
     """
     n_cav = intracavity_photon_number(pump, cav)
-    if pump.scheme is PumpScheme.BLUE and n_cav > 0:
-        c_loc = _local_cooperativity(pump, cav, mech, n_cav)
-        if c_loc >= 1.0:
-            raise SingularDenominator(
-                "blue pumping past the parametric instability "
-                f"(sideband-aligned cooperativity {c_loc:.6g} >= 1); "
-                "steady-state response is undefined",
-                delta=pump.delta,
-            )
-
+    gate = _blue_gate(pump, cav, mech, n_cav)
+    if gate is not None:
+        raise gate
     omega = np.asarray(omega, dtype=float)
-    chi_c = cavity_susceptibility(omega, pump.delta, cav.kappa)
-    chi_m = mechanical_susceptibility(omega, mech, pump.scheme)
-    denom = 1.0 - pump.scheme.sign * (mech.g0 ** 2) * n_cav * chi_c * chi_m
-    mag = np.abs(denom)
-    if np.min(mag) < DENOMINATOR_GUARD:
-        idx = int(np.argmin(mag))
-        bad = float(np.ravel(omega)[idx]) if omega.ndim else float(omega)
-        raise SingularDenominator(
-            f"interference denominator |1 -/+ g0^2 n chi_c chi_m| = {np.min(mag):.3e} "
-            f"< {DENOMINATOR_GUARD:g} at probe offset {bad / TWO_PI:.6f} Hz",
-            omega=bad, delta=pump.delta,
-        )
-    s21 = 1.0 - 0.5 * cav.kappa_ext * chi_c / denom
+    s21 = _s21(np.atleast_1d(omega), pump.scheme, pump.delta, n_cav, cav, mech)
     if omega.ndim == 0:
-        return complex(s21)
+        return complex(s21[0])
+    return s21
+
+
+def probe_transmission_rows(omega, pumps, cav: CavityParams,
+                            mech: MechanicalParams) -> np.ndarray:
+    """Complex S21 over a (pump, probe offset) grid, one row per pump.
+
+    Row r equals ``probe_transmission(omega, pumps[r], cav, mech)`` bit for
+    bit: each row's photon number and blue instability gate are scalars
+    computed exactly as for one pump, and only the array arithmetic
+    broadcasts.  All pumps share one scheme.
+
+    Raises
+    ------
+    SingularDenominator
+        For the first row that :func:`probe_transmission` would reject; its
+        ``delta`` is that row's detuning.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if len({p.scheme for p in pumps}) > 1:
+        raise ValueError("all pumps of a row grid must share one scheme")
+    n_rows, gate = [], None
+    for pump in pumps:
+        n_cav = intracavity_photon_number(pump, cav)
+        gate = _blue_gate(pump, cav, mech, n_cav)
+        if gate is not None:
+            break
+        n_rows.append(n_cav)
+    s21 = np.empty((0, omega.size), dtype=complex)
+    if n_rows:
+        # Rows before a gated one are still checked, so that the earliest
+        # singular row is reported whichever check rejects it.
+        deltas = np.array([p.delta for p in pumps[:len(n_rows)]], dtype=float)
+        s21 = _s21(omega, pumps[0].scheme, deltas[:, None],
+                   np.array(n_rows)[:, None], cav, mech)
+    if gate is not None:
+        raise gate
     return s21

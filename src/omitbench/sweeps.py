@@ -24,6 +24,7 @@ from .model import (
     effective_linewidth,
     intracavity_photon_number,
     probe_transmission,
+    probe_transmission_rows,
 )
 
 __all__ = [
@@ -93,7 +94,7 @@ class SweepTrace:
             raise ValueError("axis must be 'offset' or 'absolute'")
         if omega.ndim != 1 or len(omega) < 2:
             raise ValueError("omega must be a 1-D axis with at least 2 points")
-        if np.any(np.diff(omega) <= 0):
+        if not np.all(np.diff(omega) > 0):
             raise ValueError("omega axis must be strictly increasing")
         if s21.shape != omega.shape:
             raise ValueError("s21 length must match the omega axis")
@@ -128,7 +129,7 @@ class SweepMap:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "s21_mag", mag)
-        if np.any(np.diff(delta) <= 0) or np.any(np.diff(omega) <= 0):
+        if not (np.all(np.diff(delta) > 0) and np.all(np.diff(omega) > 0)):
             raise ValueError("map axes must be strictly increasing")
         if mag.shape != (len(delta), len(omega)):
             raise ValueError("s21_mag shape must be (len(delta), len(omega))")
@@ -214,8 +215,8 @@ def simulate_map(scheme, cav: CavityParams, mech: MechanicalParams,
     The drive is either a photon number ``n_cav`` held fixed across detuning
     rows (matching how map-level photon numbers are quoted) or a fixed input
     power ``p_in``, in which case the photon number is recomputed per row
-    from the photon relation.  Each row is exactly the corresponding line
-    cut.
+    from the photon relation.  The grid is evaluated in one broadcast call,
+    and each row is exactly the corresponding line cut.
 
     Raises
     ------
@@ -227,16 +228,16 @@ def simulate_map(scheme, cav: CavityParams, mech: MechanicalParams,
         raise ValueError("specify exactly one of n_cav or p_in")
     delta_grid = np.asarray(delta_grid, dtype=float)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    rows = np.empty((len(delta_grid), len(omega_grid)))
-    for r, delta in enumerate(delta_grid):
-        pump = PumpConfig(scheme, float(delta), n_cav=n_cav, p_in=p_in)
-        try:
-            rows[r] = np.abs(probe_transmission(omega_grid, pump, cav, mech))
-        except SingularDenominator as exc:
-            raise SingularDenominator(
-                f"map row {r} (detuning {delta / TWO_PI:.6f} Hz): {exc}",
-                omega=exc.omega, delta=float(delta),
-            ) from exc
+    pumps = [PumpConfig(scheme, float(delta), n_cav=n_cav, p_in=p_in)
+             for delta in delta_grid]
+    try:
+        rows = np.abs(probe_transmission_rows(omega_grid, pumps, cav, mech))
+    except SingularDenominator as exc:
+        r = int(np.flatnonzero(delta_grid == exc.delta)[0])
+        raise SingularDenominator(
+            f"map row {r} (detuning {exc.delta / TWO_PI:.6f} Hz): {exc}",
+            omega=exc.omega, delta=exc.delta,
+        ) from exc
     full_meta = {"scheme": scheme.value}
     if n_cav is not None:
         full_meta["n_cav"] = float(n_cav)

@@ -381,6 +381,21 @@ class TestLinewidth:
         r = runner.invoke(main, ["linewidth", str(tmp_path / "missing.csv")])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("verb", ["linewidth", "fit"])
+    @pytest.mark.parametrize("rows, problem", [
+        (["5.9962e9,5.9962e9,0.56", "5.9962e9,5.9962e9,0.57"],
+         "duplicate probe frequencies"),
+        (["5.9962e9,5.9962e9,0.56", "5.9963e9,5.9961e9,0.57"],
+         "pump frequency varies"),
+    ])
+    def test_trace_error_names_the_file(self, runner, tmp_path, verb, rows, problem):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(["# scheme: red", "# n_cav: 1.3e6", TRACE_HEADER]
+                                 + rows) + "\n")
+        r = runner.invoke(main, ["--config", write_config(tmp_path), verb, str(bad)])
+        assert r.exit_code == 2
+        assert f"error: {bad}: {problem}" in r.stderr
+
 
 class TestConvert:
     def test_dbm_to_watts(self, runner):

@@ -233,6 +233,15 @@ class TestMapRoundTrip:
             read_map(p)
         assert ":2:" in str(err.value)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_axis_value_rejected(self, tmp_path, bad):
+        p = tmp_path / "m.csv"
+        p.write_text(f"# scheme: red\npump_detuning_hz,1.0,{bad}\n0.0,0.5,0.5\n")
+        with pytest.raises(DatasetFormatError) as err:
+            read_map(p)
+        assert ":2:" in str(err.value)
+        assert "non-finite" in str(err.value)
+
 
 class TestAtomicWrite:
     def test_writes_and_overwrites(self, tmp_path):
@@ -414,14 +423,19 @@ class TestConfig:
         payload = self.minimal()
         payload["fit"] = {
             "bindings": [{"name": "kappa", "mode": "free",
-                          "init": 8e4, "lo": 4e4, "hi": 1.6e5}],
+                          "init": 8e4, "lo": 4e4, "hi": 1.6e5},
+                         {"name": "n_cav", "mode": "fixed", "init": 1.3e6}],
             "datasets": [{"path": "a.csv",
                           "bindings": [{"name": "gamma_m", "mode": "shared",
                                         "group": "t250"}]}],
         }
         cfg = load_config(self.write(tmp_path, payload))
-        assert cfg.fit.bindings[0].name == "kappa"
-        assert cfg.fit.bindings[0].init == 8e4
+        # Rates are converted from Hz to rad/s on loading; n_cav is a count.
+        kappa, n_cav = cfg.fit.bindings
+        assert kappa.name == "kappa"
+        assert (kappa.init, kappa.lo, kappa.hi) == (TWO_PI * 8e4, TWO_PI * 4e4,
+                                                    TWO_PI * 1.6e5)
+        assert n_cav.init == 1.3e6
         assert cfg.fit.datasets[0].path == "a.csv"
         assert cfg.fit.datasets[0].bindings[0].group == "t250"
 

@@ -1,5 +1,5 @@
-"""Fit-engine tests: residuals, the damped least-squares loop, heuristics
-and linewidth extraction, all validated by round-trips against the sweep
+"""Fit-engine tests: residuals, the damped least-squares loop and linewidth
+extraction, all validated by round-trips against the sweep
 generator rather than against any external fitter.
 """
 
@@ -15,7 +15,6 @@ from omitbench.fitting import (
     UnderResolved,
     extract_linewidth,
     fit,
-    init_heuristics,
     residuals,
 )
 from omitbench.model import (
@@ -392,44 +391,3 @@ class TestLinewidthExtraction:
         mag_trace = SweepTrace(trace.omega, trace.magnitude(), meta=trace.meta)
         fwhm = extract_linewidth(mag_trace)
         assert fwhm / TWO_PI == pytest.approx(GAMMA_EFF_RED_HZ, rel=0.02)
-
-
-class TestInitHeuristics:
-    def _notch_trace(self, kappa_hz=1e5, points=2001, noise=0.0):
-        cav = cav_hz(kappa_hz)
-        pump = PumpConfig(PumpScheme.RED, 0.0, n_cav=0.0)
-        grid = np.linspace(-4 * cav.kappa, 4 * cav.kappa, points)
-        trace = simulate_line_cut(pump, cav, MECH, grid)
-        if noise > 0:
-            trace = add_noise(trace, NoiseSpec(noise, seed=2))
-        # Absolute probe axis, as file-loaded traces carry.
-        return SweepTrace(trace.omega + TWO_PI * trace.meta["pump_freq_hz"],
-                          trace.s21, axis="absolute", meta=trace.meta), cav
-
-    def test_clean_notch_kappa_within_5_percent(self):
-        trace, cav = self._notch_trace()
-        guess = init_heuristics(trace)
-        assert guess["kappa"] == pytest.approx(cav.kappa, rel=0.05)
-
-    def test_clean_notch_center(self):
-        trace, cav = self._notch_trace()
-        guess = init_heuristics(trace)
-        step = trace.omega[1] - trace.omega[0]
-        assert abs(guess["omega_c"] - cav.omega_c) < 3 * step
-
-    def test_noisy_notch_still_found(self):
-        trace, cav = self._notch_trace(noise=0.01)
-        guess = init_heuristics(trace)
-        assert guess["kappa"] == pytest.approx(cav.kappa, rel=0.15)
-
-    def test_flat_trace_raises(self):
-        omega = np.linspace(0.0, 1.0, 501)
-        trace = SweepTrace(omega, np.full(501, 1.0))
-        with pytest.raises(FeatureNotFound):
-            init_heuristics(trace)
-
-    def test_feature_center_on_omit_trace(self):
-        trace, cav, pump = make_trace(points=2001)
-        guess = init_heuristics(trace)
-        step = trace.omega[1] - trace.omega[0]
-        assert abs(guess["feature_center"] - MECH.omega_m) <= 2 * step

@@ -24,6 +24,7 @@ from omitbench.model import (
     cavity_susceptibility,
     cooperativity,
     effective_linewidth,
+    intracavity_photon_number,
     probe_transmission,
 )
 from omitbench.sweeps import (
@@ -191,6 +192,13 @@ class TestTraceType:
         with pytest.raises(ValueError):
             SweepTrace(np.array([1.0, 0.0]), np.ones(2))
 
+    def test_rejects_nan_axis_point(self):
+        # A NaN difference is neither positive nor non-positive.
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SweepTrace(np.array([0.0, np.nan, 1.0]), np.ones(3))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SweepMap(np.array([0.0, 1.0]), np.array([0.0, np.nan]), np.ones((2, 2)))
+
     def test_requires_matching_lengths(self):
         with pytest.raises(ValueError):
             SweepTrace(np.array([0.0, 1.0]), np.ones(3))
@@ -211,16 +219,25 @@ class TestTraceType:
 
 class TestMap:
     def test_rows_equal_line_cuts_exactly(self):
+        # Red and blue, each at a fixed photon number and at a fixed input
+        # power, where every row has its own photon number.
         cav = cav_hz(84e3)
-        delta_grid = default_delta_grid(PumpScheme.RED, cav, MECH, points=5)
-        omega_grid = default_line_grid(red_pump(), cav, MECH, points=101)
-        smap = simulate_map(PumpScheme.RED, cav, MECH, delta_grid, omega_grid,
-                            n_cav=N_RED_MAX)
-        assert smap.s21_mag.shape == (5, 101)
-        for r, delta in enumerate(delta_grid):
-            cut = simulate_line_cut(red_pump().at_delta(delta), cav, MECH,
-                                    omega_grid)
-            assert np.array_equal(smap.s21_mag[r], cut.magnitude())
+        for scheme, n in ((PumpScheme.RED, N_RED_MAX), (PumpScheme.BLUE, N_BLUE_MAX)):
+            aligned = scheme.sign * MECH.omega_m
+            per_watt = intracavity_photon_number(
+                PumpConfig(scheme, aligned, p_in=1.0), cav)
+            delta_grid = default_delta_grid(scheme, cav, MECH, points=41)
+            omega_grid = default_line_grid(PumpConfig(scheme, aligned, n_cav=n),
+                                           cav, MECH, points=101)
+            for drive in ({"n_cav": n}, {"p_in": n / per_watt}):
+                smap = simulate_map(scheme, cav, MECH, delta_grid, omega_grid,
+                                    **drive)
+                assert smap.s21_mag.shape == (41, 101)
+                for r, delta in enumerate(delta_grid):
+                    pump = PumpConfig(scheme, float(delta), **drive)
+                    cut = simulate_line_cut(pump, cav, MECH, omega_grid)
+                    assert np.array_equal(smap.s21_mag[r], cut.magnitude()), \
+                        (scheme, drive, r)
 
     def test_single_row_at_aligned_detuning(self):
         cav = cav_hz(84e3)
@@ -302,9 +319,23 @@ class TestMap:
         n = 1.01 * 83e3 * 15.3 / (4 * 0.56 ** 2)
         omega_grid = default_line_grid(blue_pump(n * 0.5), cav, MECH, points=51)
         delta_grid = default_delta_grid(PumpScheme.BLUE, cav, MECH, points=5)
-        with pytest.raises(SingularDenominator):
+        # Only the aligned middle row is past the threshold.
+        with pytest.raises(SingularDenominator, match=r"^map row 2 \(detuning ") as err:
             simulate_map(PumpScheme.BLUE, cav, MECH, delta_grid, omega_grid,
                          n_cav=n)
+        assert err.value.delta == delta_grid[2]
+
+    def test_guard_names_the_singular_row_and_probe_offset(self):
+        # C = 1 - 1e-10 passes the instability gate, but on double resonance
+        # the aligned middle row's denominator falls below the guard floor.
+        cav = cav_hz(83e3)
+        n = (1.0 - 1e-10) * 83e3 * 15.3 / (4 * 0.56 ** 2)
+        delta_grid = MECH.omega_m + np.array([-1.0, 0.0, 1.0]) * cav.kappa
+        omega_grid = -MECH.omega_m + np.array([-1.0, 0.0, 1.0]) * MECH.gamma_m
+        with pytest.raises(SingularDenominator,
+                           match=r"^map row 1 \(detuning .*\): interference denominator") as err:
+            simulate_map(PumpScheme.BLUE, cav, MECH, delta_grid, omega_grid, n_cav=n)
+        assert (err.value.delta, err.value.omega) == (delta_grid[1], omega_grid[1])
 
     def test_fixed_power_mode_varies_photons_per_row(self):
         cav = cav_hz(84e3)
