@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fitting import penalised
 from .model import PARAM_UNITS, TWO_PI, PumpScheme, param_to_hz
 from .sweeps import SweepMap, SweepTrace
 
@@ -306,10 +307,14 @@ def write_fit_report(path, result, problem, dataset_paths=None) -> None:
 
 
 def write_residual_csv(path, problem, result) -> None:
-    """Per-point unweighted residual table for all datasets of a fitted problem."""
+    """Per-point residual table for all datasets of a fitted problem.  A
+    dataset whose fitted parameters the model rejects has no model values:
+    its ``s21_model`` and ``residual`` columns are ``nan``."""
     lines = ["dataset,probe_freq_hz,s21_data,s21_model,residual"]
     for i, (ds, params) in enumerate(zip(problem.datasets, result.dataset_params)):
         raw = ds.residuals(params)
+        if penalised(raw):
+            raw = np.full(ds.n_points, math.nan)
         probe_hz = ds.omega_p / TWO_PI
         data = ds.data
         model = data + raw

@@ -39,6 +39,7 @@ __all__ = [
     "FitProblem",
     "FitResult",
     "residuals",
+    "penalised",
     "fit",
     "extract_linewidth",
 ]
@@ -137,14 +138,16 @@ class ParamBinding:
 class FitDataset:
     """One trace plus its pump scheme and parameter bindings.
 
-    ``omega_d`` (pump), ``omega_p`` (absolute probe axis, rad/s) and
-    ``data`` (|S21| samples) are derived from the trace on construction.
+    ``bindings`` maps every name in ``PARAM_NAMES`` to its
+    :class:`ParamBinding` (checked when the dataset joins a
+    :class:`FitProblem`).  ``omega_d`` (pump), ``omega_p`` (absolute probe
+    axis, rad/s) and ``data`` (|S21| samples) are derived from the trace on
+    construction.
     """
 
     trace: SweepTrace
     scheme: PumpScheme
     bindings: dict[str, ParamBinding]
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         self.scheme = PumpScheme.parse(self.scheme)
@@ -153,28 +156,37 @@ class FitDataset:
                 raise ValueError(f"binding key {name!r} does not match binding name {b.name!r}")
         if "pump_freq_hz" not in self.trace.meta:
             raise ValueError("trace meta must carry pump_freq_hz")
-        omega_d = TWO_PI * float(self.trace.meta["pump_freq_hz"])
-        if self.trace.axis == "offset":
-            omega_p = omega_d + self.trace.omega
-        else:
-            omega_p = self.trace.omega
-        self.omega_d = omega_d
-        self.omega_p = np.asarray(omega_p, dtype=float)
+        self.omega_d = TWO_PI * float(self.trace.meta["pump_freq_hz"])
+        offset = self.omega_d if self.trace.axis == "offset" else 0.0
+        self.omega_p = np.asarray(offset + self.trace.omega, dtype=float)
         self.data = self.trace.magnitude()
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != self.data.shape:
-                raise ValueError("weights length must match the trace")
 
     @property
     def n_points(self) -> int:
         return len(self.data)
 
     def residuals(self, p: dict[str, float]) -> np.ndarray:
-        """Unweighted residual |S21_model| - |S21_data| at the parameter set
-        ``p`` (one value per name in ``PARAM_NAMES``).  A singular or
-        unphysical parameter set gives the finite penalty value instead."""
-        return _dataset_residuals(self, p, None)
+        """Residual |S21_model| - |S21_data| at the parameter set ``p`` (one
+        value per name in ``PARAM_NAMES``).  A singular or unphysical
+        parameter set gives the finite penalty value at every point instead
+        (see :func:`penalised`)."""
+        try:
+            cav = CavityParams(p["omega_c"], p["kappa"], p["kappa_ext"])
+            mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
+            pump = PumpConfig(self.scheme, self.omega_d - p["omega_c"], n_cav=p["n_cav"])
+            model = np.abs(probe_transmission(self.omega_p - self.omega_d, pump, cav, mech))
+            res = model - self.data
+        except (SingularDenominator, ValueError):
+            return np.full(self.n_points, PENALTY_RESIDUAL)
+        # Guard: a trial evaluation must never leak a non-finite residual.
+        return np.nan_to_num(res, nan=PENALTY_RESIDUAL,
+                             posinf=PENALTY_RESIDUAL, neginf=-PENALTY_RESIDUAL)
+
+
+def penalised(res: np.ndarray) -> bool:
+    """True if a dataset residual is the penalty, i.e. the model rejected the
+    parameter set it was evaluated at."""
+    return bool(np.all(res == PENALTY_RESIDUAL))
 
 
 class FitProblem:
@@ -183,73 +195,44 @@ class FitProblem:
     Free bindings get one slot per dataset (``kappa[0]``); shared bindings
     one slot per (name, group) pair (``gamma_m@group``), which must be
     declared identically wherever it appears.  ``slot_params`` names the
-    parameter of each slot in ``slot_names``.  ``shared`` bindings passed
-    at problem level are merged into every dataset that does not bind that
-    name itself.
+    parameter of each slot in ``slot_names``; ``init_values``,
+    ``lower_bounds`` and ``upper_bounds`` follow the same order.
     """
 
-    def __init__(self, datasets, shared: dict[str, ParamBinding] | None = None):
+    def __init__(self, datasets):
         if not datasets:
             raise ValueError("need at least one dataset")
         self.datasets = list(datasets)
-        if shared:
-            for ds in self.datasets:
-                for name, b in shared.items():
-                    ds.bindings.setdefault(name, b)
+        slots: dict[str, ParamBinding] = {}
+        # Per dataset: the fixed parameter values and the slot index of
+        # every other parameter.
+        self._params: list[tuple[dict[str, float], dict[str, int]]] = []
         for i, ds in enumerate(self.datasets):
             missing = [n for n in PARAM_NAMES if n not in ds.bindings]
             if missing:
                 raise ValueError(f"dataset {i}: bindings incomplete; missing {missing}")
-        self._build_slots()
-
-    def _build_slots(self):
-        slots: list[str] = []
-        params: list[str] = []
-        inits: list[float] = []
-        los: list[float] = []
-        his: list[float] = []
-        log_flags: list[bool] = []
-        shared_seen: dict[str, ParamBinding] = {}
-        index_maps: list[dict[str, int | float]] = []
-
-        def add_slot(key, binding):
-            slots.append(key)
-            params.append(binding.name)
-            inits.append(binding.init)
-            los.append(binding.lo)
-            his.append(binding.hi)
-            log_flags.append(binding.name in LOG_PARAMS)
-            return len(slots) - 1
-
-        for i, ds in enumerate(self.datasets):
-            mapping: dict[str, int | float] = {}
+            fixed, slot_of = {}, {}
             for name in PARAM_NAMES:
                 b = ds.bindings[name]
                 if b.mode == "fixed":
-                    mapping[name] = ("const", b.init)
-                elif b.mode == "free":
-                    mapping[name] = ("slot", add_slot(f"{name}[{i}]", b))
-                else:
-                    key = f"{name}@{b.group}"
-                    if key in shared_seen:
-                        prev = shared_seen[key]
-                        if (prev.init, prev.lo, prev.hi) != (b.init, b.lo, b.hi):
-                            raise ValueError(
-                                f"inconsistent shared binding {key}: "
-                                f"{(b.init, b.lo, b.hi)} vs {(prev.init, prev.lo, prev.hi)}")
-                        mapping[name] = ("slot", slots.index(key))
-                    else:
-                        shared_seen[key] = b
-                        mapping[name] = ("slot", add_slot(key, b))
-            index_maps.append(mapping)
+                    fixed[name] = float(b.init)
+                    continue
+                key = f"{name}[{i}]" if b.mode == "free" else f"{name}@{b.group}"
+                prev = slots.setdefault(key, b)
+                if (prev.init, prev.lo, prev.hi) != (b.init, b.lo, b.hi):
+                    raise ValueError(
+                        f"inconsistent shared binding {key}: "
+                        f"{(b.init, b.lo, b.hi)} vs {(prev.init, prev.lo, prev.hi)}")
+                slot_of[name] = list(slots).index(key)
+            self._params.append((fixed, slot_of))
 
+        bindings = list(slots.values())
         self.slot_names = tuple(slots)
-        self.slot_params = tuple(params)
-        self.init_values = np.array(inits, dtype=float)
-        self.lower_bounds = np.array(los, dtype=float)
-        self.upper_bounds = np.array(his, dtype=float)
-        self._log_flags = np.array(log_flags, dtype=bool)
-        self._index_maps = index_maps
+        self.slot_params = tuple(b.name for b in bindings)
+        self.init_values = np.array([b.init for b in bindings], dtype=float)
+        self.lower_bounds = np.array([b.lo for b in bindings], dtype=float)
+        self.upper_bounds = np.array([b.hi for b in bindings], dtype=float)
+        self._log_flags = np.array([b.name in LOG_PARAMS for b in bindings], dtype=bool)
 
     @property
     def n_parameters(self) -> int:
@@ -261,43 +244,20 @@ class FitProblem:
 
     def dataset_values(self, values) -> list[dict[str, float]]:
         """Resolve the full parameter dict of every dataset from a slot vector."""
-        values = np.asarray(values, dtype=float)
-        out = []
-        for mapping in self._index_maps:
-            d = {}
-            for name, ref in mapping.items():
-                kind, v = ref
-                d[name] = float(values[v]) if kind == "slot" else float(v)
-            out.append(d)
-        return out
-
-
-def _dataset_residuals(ds: FitDataset, p: dict[str, float], weights) -> np.ndarray:
-    try:
-        cav = CavityParams(p["omega_c"], p["kappa"], p["kappa_ext"])
-        mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
-        pump = PumpConfig(ds.scheme, ds.omega_d - p["omega_c"], n_cav=p["n_cav"])
-        model = np.abs(probe_transmission(ds.omega_p - ds.omega_d, pump, cav, mech))
-        res = model - ds.data
-    except (SingularDenominator, ValueError):
-        return np.full(ds.n_points, PENALTY_RESIDUAL)
-    if weights is not None:
-        res = res * weights
-    # Guard: a trial evaluation must never leak a non-finite residual.
-    return np.nan_to_num(res, nan=PENALTY_RESIDUAL,
-                         posinf=PENALTY_RESIDUAL, neginf=-PENALTY_RESIDUAL)
+        values = np.asarray(values, dtype=float).tolist()
+        return [{**fixed, **{name: values[j] for name, j in slot_of.items()}}
+                for fixed, slot_of in self._params]
 
 
 def residuals(problem: FitProblem, values) -> np.ndarray:
-    """Weighted residual vector |S21_model| - |S21_data| over all datasets.
+    """Residual vector |S21_model| - |S21_data| over all datasets.
 
     ``values`` holds the physical slot values (rad/s, counts) in
     ``problem.slot_names`` order.  Singular or unphysical trial points
     contribute the finite penalty value instead of raising.
     """
-    parts = [_dataset_residuals(ds, p, ds.weights)
-             for ds, p in zip(problem.datasets, problem.dataset_values(values))]
-    return np.concatenate(parts)
+    return np.concatenate([ds.residuals(p) for ds, p in
+                           zip(problem.datasets, problem.dataset_values(values))])
 
 
 @dataclass
@@ -306,8 +266,10 @@ class FitResult:
 
     ``values``/``stderr`` are keyed by slot name and hold physical (angular)
     units; uncertainties come from the linearized normal equations at the
-    optimum scaled by the reduced residual variance.  ``cost_history`` is the
-    sequence of accepted residual norms (monotone non-increasing).
+    optimum scaled by the reduced residual variance; a slot the residuals do
+    not depend on (an exactly zero Jacobian column) has a NaN stderr.
+    ``cost_history`` is the sequence of accepted residual norms (monotone
+    non-increasing).
     """
 
     values: dict[str, float]
@@ -334,13 +296,9 @@ def _to_physical(x, log_flags):
 def _jacobian(fun, x, n_res):
     """Central-difference Jacobian with per-parameter relative steps."""
     jac = np.empty((n_res, len(x)))
-    for j in range(len(x)):
+    for j, unit in enumerate(np.eye(len(x))):
         h = max(JACOBIAN_REL_STEP * abs(x[j]), JACOBIAN_ABS_STEP)
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (fun(xp) - fun(xm)) / (2.0 * h)
+        jac[:, j] = (fun(x + h * unit) - fun(x - h * unit)) / (2.0 * h)
     return jac
 
 
@@ -351,8 +309,10 @@ def fit(problem: FitProblem) -> FitResult:
     (multiplied) by 10 on accepted (rejected) steps from 1e-3, bound handling
     by projection, and convergence once the relative residual-norm reduction
     or the relative parameter step drops below 1e-10, capped at 200
-    iterations.  On hitting the cap the best parameters so far are returned
-    with ``converged=False``.
+    iterations.  On hitting the cap, or when a dataset's residual at the
+    returned point is the penalty, the best parameters so far are returned
+    with ``converged=False``.  The Jacobian is evaluated once at the start
+    and once after each accepted step; the standard errors reuse the last.
 
     Raises
     ------
@@ -379,7 +339,8 @@ def fit(problem: FitProblem) -> FitResult:
     lam = INITIAL_DAMPING
     iterations = 0
     converged = rnorm == 0.0 or n_par == 0
-    jac = None if converged else _jacobian(res_internal, x, n_pts)
+    # Invariant: jac is J(x) for the current x.
+    jac = _jacobian(res_internal, x, n_pts)
 
     while not converged and iterations < MAX_ITERATIONS:
         iterations += 1
@@ -393,11 +354,10 @@ def fit(problem: FitProblem) -> FitResult:
             lam *= DAMPING_FACTOR
             continue
         x_trial = np.clip(x + step, lo, hi)
-        actual = x_trial - x
         # Per-parameter relative step: a vector norm would let large linear
         # coordinates (omega_c ~ 1e10 rad/s) mask meaningful motion in the
         # O(1) logarithmic coordinates and stop the loop early.
-        step_rel = float(np.max(np.abs(actual) / (1.0 + np.abs(x))))
+        step_rel = float(np.max(np.abs(x_trial - x) / (1.0 + np.abs(x))))
         r_trial = res_internal(x_trial)
         rt_norm = float(np.linalg.norm(r_trial))
         if rt_norm < rnorm:
@@ -405,24 +365,22 @@ def fit(problem: FitProblem) -> FitResult:
             x, r, rnorm = x_trial, r_trial, rt_norm
             history.append(rnorm)
             lam /= DAMPING_FACTOR
-            if drop < REL_REDUCTION_TOL or step_rel < REL_STEP_TOL or rnorm == 0.0:
-                converged = True
-            else:
-                jac = _jacobian(res_internal, x, n_pts)
+            jac = _jacobian(res_internal, x, n_pts)
+            converged = drop < REL_REDUCTION_TOL or step_rel < REL_STEP_TOL or rnorm == 0.0
         else:
             lam *= DAMPING_FACTOR
-            if step_rel < REL_STEP_TOL:
-                # Damping has pinned the proposal; no reducing step exists.
-                converged = True
+            # Damping has pinned the proposal; no reducing step exists.
+            converged = step_rel < REL_STEP_TOL
 
+    # A dataset the model rejects at x gives a flat penalty with a zero
+    # Jacobian, so the loop stops there without having fitted anything.
+    ends = np.cumsum([ds.n_points for ds in problem.datasets])
+    converged = converged and not any(penalised(part) for part in np.split(r, ends[:-1]))
     values_phys = _to_physical(x, log_flags)
-    stderr_phys = _uncertainties(res_internal, x, rnorm, n_pts, n_par,
-                                 values_phys, log_flags)
-    values = dict(zip(problem.slot_names, values_phys.tolist()))
-    stderr = dict(zip(problem.slot_names, stderr_phys.tolist()))
+    stderr_phys = _uncertainties(jac, rnorm, values_phys, log_flags)
     return FitResult(
-        values=values,
-        stderr=stderr,
+        values=dict(zip(problem.slot_names, values_phys.tolist())),
+        stderr=dict(zip(problem.slot_names, stderr_phys.tolist())),
         rms_residual=rnorm / math.sqrt(n_pts),
         iterations=iterations,
         converged=converged,
@@ -431,17 +389,12 @@ def fit(problem: FitProblem) -> FitResult:
     )
 
 
-def _uncertainties(res_internal, x, rnorm, n_pts, n_par, values_phys, log_flags):
-    if n_par == 0:
-        return np.array([])
-    jac = _jacobian(res_internal, x, n_pts)
-    a = jac.T @ jac
-    if n_pts > n_par:
-        s2 = rnorm ** 2 / (n_pts - n_par)
-    else:
-        s2 = math.nan
-    cov = np.linalg.pinv(a) * s2
+def _uncertainties(jac, rnorm, values_phys, log_flags):
+    n_pts, n_par = jac.shape
+    s2 = rnorm ** 2 / (n_pts - n_par) if n_pts > n_par else math.nan
+    cov = np.linalg.pinv(jac.T @ jac) * s2
     sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    sig[~np.any(jac, axis=0)] = math.nan
     # Delta method back to physical units for log-coordinate slots.
     sig = np.where(log_flags, sig * values_phys, sig)
     return sig

@@ -250,6 +250,26 @@ class TestFitCommand:
         assert (tmp_path / "report_residuals.csv").exists()
         assert "converged=True" in r.output
 
+    def test_fit_on_penalty_plateau_exits_4(self, runner, tmp_path):
+        # kappa starts below kappa_ext 44 kHz, where the model rejects the
+        # cavity; no step leaves the flat penalty, which is not convergence.
+        data = self.simulate_dataset(runner, tmp_path)
+        fit_cfg = tmp_path / "fit.json"
+        fit_cfg.write_text(json.dumps(base_config(
+            fit={"bindings": [{"name": "kappa", "mode": "free", "init": 33.6e3,
+                               "lo": 20e3, "hi": 200e3}]})))
+        report = tmp_path / "report.json"
+        r = run(runner, ["--config", str(fit_cfg), "--out", str(report),
+                         "fit", str(data)])
+        assert r.exit_code == 4
+        assert "converged=False" in r.output
+        assert "kappa[0] = 33600.000000 Hz +/- nan Hz" in r.output
+        body = json.loads(report.read_text())
+        assert body["converged"] is False
+        assert np.isnan(body["parameters"]["kappa[0]"]["stderr_hz"])
+        rows = (tmp_path / "report_residuals.csv").read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",nan,nan") for row in rows)
+
     def test_fit_malformed_csv_exits_2_with_line(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("# scheme: red\n" + TRACE_HEADER + "\n1,2,0.5\n1,2\n")

@@ -264,14 +264,14 @@ class TestAtomicWrite:
 
 
 class TestFitReport:
-    def fitted_problem(self):
+    def fitted_problem(self, kappa_init=1.1, kappa_lo=0.5):
         trace = red_trace(points=201, noise=0.005)
         data = DatasetFile.from_trace(trace)
         t = data.to_trace()
         bindings = {
             "omega_c": ParamBinding.fixed("omega_c", CAV.omega_c),
-            "kappa": ParamBinding.free("kappa", 1.1 * CAV.kappa,
-                                       0.5 * CAV.kappa, 2 * CAV.kappa),
+            "kappa": ParamBinding.free("kappa", kappa_init * CAV.kappa,
+                                       kappa_lo * CAV.kappa, 2 * CAV.kappa),
             "kappa_ext": ParamBinding.fixed("kappa_ext", CAV.kappa_ext),
             "omega_m": ParamBinding.fixed("omega_m", MECH.omega_m),
             "gamma_m": ParamBinding.fixed("gamma_m", MECH.gamma_m),
@@ -320,8 +320,18 @@ class TestFitReport:
         data, model, res = float(row[2]), float(row[3]), float(row[4])
         # Columns are rounded to 13 significant digits independently.
         assert model - data == pytest.approx(res, abs=1e-12)
-        # Weights must be untouched after the export recomputes residuals.
-        assert problem.datasets[0].weights is None
+
+    def test_residual_csv_rejected_dataset_has_nan_model(self, tmp_path):
+        # kappa starts below kappa_ext, where the model rejects the cavity:
+        # the fit stays on the penalty, which is not a model value.
+        problem, result = self.fitted_problem(kappa_init=0.4, kappa_lo=0.25)
+        assert not result.converged
+        path = tmp_path / "residuals.csv"
+        write_residual_csv(path, problem, result)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        data = problem.datasets[0].data
+        assert [float(row[2]) for row in rows] == pytest.approx(data, rel=1e-12)
+        assert all(row[3:] == ["nan", "nan"] for row in rows)
 
 
 class TestConfig:

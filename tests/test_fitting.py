@@ -6,6 +6,7 @@ generator rather than against any external fitter.
 import numpy as np
 import pytest
 
+from omitbench import fitting
 from omitbench.fitting import (
     FeatureNotFound,
     FitDataset,
@@ -151,17 +152,6 @@ class TestResiduals:
         problem = FitProblem([ds])
         r = residuals(problem, np.array([0.5 * cav.kappa_ext]))
         assert np.all(r == 1e3)
-
-    def test_weights_scale_residuals(self):
-        trace, cav, pump = make_trace(points=101)
-        bindings = fixed_bindings(cav, MECH, N_RED_MAX)
-        bindings["kappa"] = ParamBinding.free("kappa", 1.1 * cav.kappa,
-                                              0.5 * cav.kappa, 2 * cav.kappa)
-        plain = FitProblem([FitDataset(trace, PumpScheme.RED, dict(bindings))])
-        weighted = FitProblem([FitDataset(trace, PumpScheme.RED, dict(bindings),
-                                          weights=np.full(101, 2.0))])
-        x = np.array([1.1 * cav.kappa])
-        assert np.allclose(residuals(weighted, x), 2.0 * residuals(plain, x))
 
 
 class TestFit:
@@ -335,6 +325,47 @@ class TestFit:
         # Noise-limited fit: uncertainty well below the value itself.
         assert err < 0.1 * result.values["kappa[0]"]
 
+    def test_penalty_plateau_is_not_converged(self):
+        result = fit(self._plateau_problem())
+        assert not result.converged
+        assert result.rms_residual == pytest.approx(1e3)
+
+    def test_stderr_nan_on_penalty_plateau(self):
+        # The penalty is flat, so the Jacobian at the returned point is zero.
+        result = fit(self._plateau_problem())
+        assert np.isnan(result.stderr["kappa[0]"])
+
+    def test_stderr_nan_for_slot_the_data_ignore(self):
+        # With the pump off the model does not depend on g0 at all: the fit
+        # converges but g0 is not determined, which 0.0 would misstate.
+        trace, cav, pump = make_trace(n_cav=0.0, points=201, noise_sigma=0.01)
+        bindings = fixed_bindings(cav, MECH, 0.0)
+        bindings["g0"] = ParamBinding.free("g0", 0.5, 0.1, 2.0)
+        bindings["kappa"] = ParamBinding.free(
+            "kappa", 1.1 * cav.kappa, 0.3 * cav.kappa, 3 * cav.kappa)
+        result = fit(FitProblem([FitDataset(trace, PumpScheme.RED, bindings)]))
+        assert result.converged
+        assert np.isnan(result.stderr["g0[0]"])
+        assert np.isfinite(result.stderr["kappa[0]"])
+        assert result.stderr["kappa[0]"] > 0
+
+    def test_one_jacobian_per_accepted_point(self, monkeypatch):
+        # One residual for the start point, one per trial step and one
+        # central-difference Jacobian per accepted point, the last of which
+        # also gives the standard errors.  This fit ends on a rejected step.
+        prob, _, _ = self._shared_pair_problem()
+        calls = []
+        inner = fitting.residuals
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(fitting, "residuals", counted)
+        result = fit(prob)
+        assert len(calls) == (1 + result.iterations + 2 * prob.n_parameters
+                              * len(result.cost_history))
+
     def test_dataset_params_resolved(self):
         trace, cav, pump = make_trace(points=101)
         problem = FitProblem([FitDataset(trace, PumpScheme.RED,
@@ -355,6 +386,16 @@ class TestFit:
         k_off = fit(problem_for(trace)).values["kappa[0]"]
         k_abs = fit(problem_for(absolute)).values["kappa[0]"]
         assert k_off == pytest.approx(k_abs, rel=1e-9)
+
+
+    @staticmethod
+    def _plateau_problem():
+        # kappa starts below kappa_ext: the model rejects the cavity there.
+        trace, cav, pump = make_trace(points=201)
+        bindings = fixed_bindings(cav, MECH, N_RED_MAX)
+        bindings["kappa"] = ParamBinding.free(
+            "kappa", 0.4 * cav.kappa, TWO_PI * 20e3, TWO_PI * 200e3)
+        return FitProblem([FitDataset(trace, PumpScheme.RED, bindings)])
 
 
 class TestLinewidthExtraction:
