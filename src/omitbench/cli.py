@@ -5,15 +5,16 @@ Verbs: simulate | map | fit | photons | linewidth | convert.  Global flags
 frequencies are Hz; magnitudes are stored linear and rendered in dB only
 under --db.
 
-Exit codes: 0 success; 2 config or file parse error; 3 model singularity;
-4 fit did not converge; 5 insufficient data for the requested fit;
-6 no resolvable spectral feature.
+Exit codes: 0 success; 2 config, file parse or input error; 3 model
+singularity; 4 fit did not converge; 5 insufficient data for the requested
+fit; 6 no resolvable spectral feature.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -23,7 +24,6 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .datafiles import (
     DatasetFile,
-    DatasetFormatError,
     atomic_write_text,
     read_dataset,
     write_dataset,
@@ -65,12 +65,19 @@ from .sweeps import (
 )
 from .svgmap import render_heatmap, render_line
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_SINGULAR = 3
+# Exit code of each error a verb may raise; the first class of the
+# exception's MRO found here decides.  The library rejects bad input with
+# ValueError, so that is an input error like a bad config or file.
+EXIT_CODES = {
+    SingularDenominator: 3,
+    InsufficientData: 5,
+    FeatureNotFound: 6,
+    UnderResolved: 6,
+    ConfigError: 2,
+    ValueError: 2,
+    OSError: 2,
+}
 EXIT_NOT_CONVERGED = 4
-EXIT_INSUFFICIENT = 5
-EXIT_NO_FEATURE = 6
 
 
 @dataclass
@@ -86,18 +93,27 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+class _Cli(click.Group):
+    """The verb group: an error listed in ``EXIT_CODES`` ends the run with
+    one ``error:`` line on stderr and its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(EXIT_CODES) as exc:
+            _fail(next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES),
+                  str(exc))
+
+
 def _require_config(state: CliState) -> RunConfig:
     if state.config_path is None:
-        _fail(EXIT_CONFIG, "this command needs --config <file>")
-    try:
-        return load_config(state.config_path)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+        raise ConfigError("this command needs --config <file>")
+    return load_config(state.config_path)
 
 
 def _require_out(state: CliState) -> Path:
     if state.out is None:
-        _fail(EXIT_CONFIG, "this command needs --out <path>")
+        raise ConfigError("this command needs --out <path>")
     return Path(state.out)
 
 
@@ -107,19 +123,30 @@ def _display_mag(value: float, db: bool) -> str:
     return f"{value:.6f}"
 
 
-def _pump_condition_str(pump: PumpConfig) -> str:
-    drive = (f"n_cav={pump.n_cav:g}" if pump.n_cav is not None
-             else f"p_in={pump.p_in:g} W")
-    return (f"scheme={pump.scheme.value}, "
-            f"detuning_hz={pump.delta / TWO_PI:g}, {drive}")
+@contextmanager
+def _pump_context(pump: PumpConfig):
+    """Name the pump condition in a singular-response error."""
+    try:
+        yield
+    except SingularDenominator as exc:
+        drive = (f"n_cav={pump.n_cav:g}" if pump.n_cav is not None
+                 else f"p_in={pump.p_in:g} W")
+        raise SingularDenominator(
+            f"singular response at scheme={pump.scheme.value}, "
+            f"detuning_hz={pump.delta / TWO_PI:g}, {drive}: {exc}") from exc
 
 
-def _resolve_pumps(cfg: RunConfig, scheme, detuning_hz, ncav, power_dbm):
-    """Pump list for simulate/map: CLI overrides win over the config list."""
-    overrides = any(v is not None for v in (scheme, detuning_hz, ncav, power_dbm))
-    if not overrides:
+def _resolve_pumps(cfg: RunConfig, scheme, detuning_hz, ncav, power_dbm, power_w=None):
+    """Pump list for simulate/map/photons: CLI overrides win over the config list."""
+    strengths = {"--ncav": ncav, "--power-dbm": power_dbm, "--power-w": power_w}
+    given = [flag for flag, v in strengths.items() if v is not None]
+    if len(given) > 1:
+        raise ValueError(f"{given[0]} and {given[1]} are mutually exclusive")
+    if power_w is not None and power_w < 0:
+        raise ValueError("--power-w must be >= 0")
+    if scheme is None and detuning_hz is None and not given:
         if not cfg.pumps:
-            _fail(EXIT_CONFIG, "config has no pumps and no pump flags were given")
+            raise ConfigError("config has no pumps and no pump flags were given")
         return cfg.pumps
     base = cfg.pumps[0] if cfg.pumps else None
     sch = PumpScheme.parse(scheme) if scheme else (base.scheme if base
@@ -130,16 +157,15 @@ def _resolve_pumps(cfg: RunConfig, scheme, detuning_hz, ncav, power_dbm):
         delta = base.delta
     else:
         delta = sch.sign * cfg.mechanics.omega_m
-    if ncav is not None and power_dbm is not None:
-        _fail(EXIT_CONFIG, "--ncav and --power-dbm are mutually exclusive")
     if ncav is not None:
         return [PumpConfig(sch, delta, n_cav=ncav)]
-    if power_dbm is not None:
-        return [PumpConfig(sch, delta, p_in=dbm_to_watts(power_dbm))]
+    if given:
+        watts = dbm_to_watts(power_dbm) if power_dbm is not None else power_w
+        return [PumpConfig(sch, delta, p_in=watts)]
     if base is not None:
         return [PumpConfig(sch, delta, n_cav=base.n_cav, p_in=base.p_in)]
-    _fail(EXIT_CONFIG, "no pump strength: give --ncav or --power-dbm "
-                       "or a pumps entry in the config")
+    raise ConfigError("no pump strength: give --ncav or --power-dbm "
+                      "or a pumps entry in the config")
 
 
 def _numbered(path: Path, index: int, count: int) -> Path:
@@ -148,7 +174,7 @@ def _numbered(path: Path, index: int, count: int) -> Path:
     return path.with_name(f"{path.stem}_{index}{path.suffix}")
 
 
-@click.group()
+@click.group(cls=_Cli)
 @click.version_option(package_name="omitbench", prog_name="omitbench")
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON run configuration.")
@@ -186,15 +212,12 @@ def simulate(state: CliState, scheme, detuning_hz, ncav, power_dbm, points,
     pumps = _resolve_pumps(cfg, scheme, detuning_hz, ncav, power_dbm)
     n_points = points if points is not None else cfg.grid.points
     for i, pump in enumerate(pumps):
-        try:
+        with _pump_context(pump):
             grid = default_line_grid(pump, cfg.cavity, cfg.mechanics,
                                      points=n_points,
                                      half_width_gamma_eff=cfg.grid.half_width_gamma_eff)
             trace = simulate_line_cut(pump, cfg.cavity, cfg.mechanics, grid,
                                       meta=cfg.meta)
-        except SingularDenominator as exc:
-            _fail(EXIT_SINGULAR,
-                  f"singular response at {_pump_condition_str(pump)}: {exc}")
         if cfg.noise is not None and cfg.noise.sigma > 0:
             seed = state.seed if state.seed is not None else cfg.noise.seed
             trace = add_noise(trace, NoiseSpec(cfg.noise.sigma, seed + i))
@@ -227,7 +250,7 @@ def map_cmd(state: CliState, scheme, ncav, power_dbm, svg_path):
     out = _require_out(state)
     pump = _resolve_pumps(cfg, scheme, None, ncav, power_dbm)[0]
     aligned = replace(pump, delta=pump.scheme.sign * cfg.mechanics.omega_m)
-    try:
+    with _pump_context(pump):
         delta_grid = default_delta_grid(
             pump.scheme, cfg.cavity, cfg.mechanics,
             points=cfg.grid.map_delta_points,
@@ -239,9 +262,6 @@ def map_cmd(state: CliState, scheme, ncav, power_dbm, svg_path):
         smap = simulate_map(pump.scheme, cfg.cavity, cfg.mechanics,
                             delta_grid, omega_grid,
                             n_cav=pump.n_cav, p_in=pump.p_in, meta=cfg.meta)
-    except SingularDenominator as exc:
-        _fail(EXIT_SINGULAR,
-              f"singular response at {_pump_condition_str(pump)}: {exc}")
     write_map(out, smap)
     values = smap.s21_mag
     click.echo(f"{out}: {values.shape[0]}x{values.shape[1]} map, "
@@ -252,33 +272,23 @@ def map_cmd(state: CliState, scheme, ncav, power_dbm, svg_path):
         click.echo(f"{svg_path}: heatmap")
 
 
-def _default_bounds(name: str, init: float) -> tuple[float, float]:
-    """Fallback bounds when a free/shared binding omits lo/hi: a decade for
-    positive rates, a narrow relative window for the two frequencies."""
-    if name in LOG_PARAMS:
-        return init / 10.0, init * 10.0
-    if name == "omega_c":
-        return init * (1 - 1e-3), init * (1 + 1e-3)
-    return init * (1 - 1e-2), init * (1 + 1e-2)
-
-
-def _binding_from_spec(spec, defaults: dict) -> ParamBinding:
-    init = spec.init
+def _binding(entry: dict, default) -> ParamBinding:
+    """The binding of a config ``fit`` entry (internal units); ``default``,
+    the dataset's value of the parameter, is the start when the entry gives
+    no ``init``.  A free or shared entry without bounds gets a decade around
+    the start for a positive rate, a narrow relative window for the two
+    frequencies."""
+    name, mode = entry["name"], entry["mode"]
+    init = entry.get("init", default)
     if init is None:
-        init = defaults[spec.name]
-    if init is None:
-        raise ConfigError(f"binding {spec.name}: no init value available")
-    lo, hi = spec.lo, spec.hi
-    if spec.mode in ("free", "shared") and (lo is None or hi is None):
-        dlo, dhi = _default_bounds(spec.name, init)
-        lo = dlo if lo is None else lo
-        hi = dhi if hi is None else hi
-    kwargs = {}
-    if lo is not None:
-        kwargs["lo"] = lo
-    if hi is not None:
-        kwargs["hi"] = hi
-    return ParamBinding(spec.name, spec.mode, init, group=spec.group, **kwargs)
+        raise ConfigError(f"binding {name}: no init value available")
+    lo, hi = -math.inf, math.inf
+    if mode != "fixed":
+        rel = 1e-3 if name == "omega_c" else 1e-2
+        lo, hi = ((init / 10.0, init * 10.0) if name in LOG_PARAMS
+                  else (init * (1 - rel), init * (1 + rel)))
+    return ParamBinding(name, mode, init, entry.get("lo", lo), entry.get("hi", hi),
+                        group=entry.get("group"))
 
 
 def _file_n_cav(data: DatasetFile, cfg: RunConfig) -> float | None:
@@ -300,14 +310,11 @@ def _dataset_trace(path, data: DatasetFile):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _dataset_bindings(data: DatasetFile, cfg: RunConfig, spec_lists) -> dict:
+def _dataset_bindings(data: DatasetFile, cfg: RunConfig, entries) -> dict:
     # Parameter names are the CavityParams and MechanicalParams field names.
     defaults = {**asdict(cfg.cavity), **asdict(cfg.mechanics),
                 "n_cav": _file_n_cav(data, cfg)}
-    bindings = {}
-    for specs in spec_lists:
-        for spec in specs:
-            bindings[spec.name] = _binding_from_spec(spec, defaults)
+    bindings = {e["name"]: _binding(e, defaults[e["name"]]) for e in entries}
     for name in PARAM_NAMES:
         if name not in bindings:
             if defaults[name] is None:
@@ -325,34 +332,19 @@ def fit_cmd(state: CliState, datasets):
     """Fit the transmission model to dataset files; write a JSON report
     plus a residual CSV next to it."""
     cfg = _require_config(state)
-    fit_cfg = cfg.fit
-    paths = [str(p) for p in datasets]
-    if not paths and fit_cfg is not None:
-        paths = [d.path for d in fit_cfg.datasets if d.path]
+    listed = [d for d in cfg.fit["datasets"] if d.get("path")]
+    paths = [str(p) for p in datasets] or [d["path"] for d in listed]
     if not paths:
-        _fail(EXIT_CONFIG, "no datasets: pass file arguments or configure fit.datasets")
+        raise ConfigError("no datasets: pass file arguments or configure fit.datasets")
 
-    by_path = {}
-    if fit_cfg is not None:
-        by_path = {d.path: d.bindings for d in fit_cfg.datasets if d.path}
-    global_bindings = fit_cfg.bindings if fit_cfg is not None else ()
-
+    by_path = {d["path"]: d["bindings"] for d in listed}
     fit_datasets = []
-    try:
-        for p in paths:
-            data = read_dataset(p)
-            spec_lists = [global_bindings, by_path.get(p, ())]
-            bindings = _dataset_bindings(data, cfg, spec_lists)
-            fit_datasets.append(FitDataset(_dataset_trace(p, data), data.scheme,
-                                           bindings))
-        problem = FitProblem(fit_datasets)
-    except (DatasetFormatError, ConfigError, ValueError, OSError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-
-    try:
-        result = run_fit(problem)
-    except InsufficientData as exc:
-        _fail(EXIT_INSUFFICIENT, str(exc))
+    for p in paths:
+        data = read_dataset(p)
+        bindings = _dataset_bindings(data, cfg, cfg.fit["bindings"] + by_path.get(p, []))
+        fit_datasets.append(FitDataset(_dataset_trace(p, data), data.scheme, bindings))
+    problem = FitProblem(fit_datasets)
+    result = run_fit(problem)
 
     out = Path(state.out) if state.out is not None else Path("fit_report.json")
     write_fit_report(out, result, problem, paths)
@@ -368,8 +360,8 @@ def fit_cmd(state: CliState, datasets):
         else:
             click.echo(f"  {slot} = {v:.6f} Hz +/- {s:.2e} Hz")
     if not result.converged:
-        _fail(EXIT_NOT_CONVERGED,
-              f"fit did not converge within {result.iterations} iterations")
+        _fail(EXIT_NOT_CONVERGED, f"fit did not converge: {result.termination} "
+                                  f"(iterations={result.iterations})")
 
 
 @main.command()
@@ -382,33 +374,12 @@ def photons(state: CliState, power_dbm, power_w, detuning_hz):
     """Print the intracavity photon number and cooperativity for a pump."""
     cfg = _require_config(state)
     base = cfg.pumps[0] if cfg.pumps else None
-    if power_dbm is not None and power_w is not None:
-        _fail(EXIT_CONFIG, "--power-dbm and --power-w are mutually exclusive")
-    if power_dbm is not None:
-        watts = dbm_to_watts(power_dbm)
-    elif power_w is not None:
-        if power_w < 0:
-            _fail(EXIT_CONFIG, "--power-w must be >= 0")
-        watts = power_w
-    elif base is not None and base.p_in is not None:
-        watts = base.p_in
-    else:
-        _fail(EXIT_CONFIG, "no pump power: give --power-dbm or --power-w "
-                           "or a power-driven pumps entry in the config")
-    scheme = base.scheme if base is not None else PumpScheme.RED
-    if detuning_hz is not None:
-        delta = TWO_PI * detuning_hz
-    elif base is not None:
-        delta = base.delta
-    else:
-        delta = scheme.sign * cfg.mechanics.omega_m
-    try:
-        pump = PumpConfig(scheme, delta, p_in=watts)
-        n = intracavity_photon_number(pump, cfg.cavity)
-        coop = cooperativity(cfg.mechanics.g0, n, cfg.cavity.kappa,
-                             cfg.mechanics.gamma_m)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    if power_dbm is None and power_w is None and (base is None or base.p_in is None):
+        raise ConfigError("no pump power: give --power-dbm or --power-w "
+                          "or a power-driven pumps entry in the config")
+    pump = _resolve_pumps(cfg, None, detuning_hz, None, power_dbm, power_w)[0]
+    n = intracavity_photon_number(pump, cfg.cavity)
+    coop = cooperativity(cfg.mechanics.g0, n, cfg.cavity.kappa, cfg.mechanics.gamma_m)
     click.echo(f"n_cav = {n:.6e}")
     click.echo(f"C = {coop:.6e}")
 
@@ -419,15 +390,8 @@ def photons(state: CliState, power_dbm, power_w, detuning_hz):
 def linewidth(state: CliState, dataset):
     """Print the FWHM (Hz) of the feature in a dataset file; with a config,
     also the cooperativity implied by the backaction width law."""
-    try:
-        data = read_dataset(dataset)
-        trace = _dataset_trace(dataset, data)
-    except (DatasetFormatError, ValueError, OSError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    try:
-        fwhm = extract_linewidth(trace)
-    except (FeatureNotFound, UnderResolved) as exc:
-        _fail(EXIT_NO_FEATURE, str(exc))
+    data = read_dataset(dataset)
+    fwhm = extract_linewidth(_dataset_trace(dataset, data))
     click.echo(f"FWHM = {fwhm / TWO_PI:.6f} Hz")
     if state.config_path is not None:
         cfg = _require_config(state)
@@ -442,14 +406,11 @@ def linewidth(state: CliState, dataset):
 def convert(dbm, watts):
     """Convert pump/probe power between dBm and watts."""
     if (dbm is None) == (watts is None):
-        _fail(EXIT_CONFIG, "give exactly one of --dbm or --watts")
+        raise ValueError("give exactly one of --dbm or --watts")
     if dbm is not None:
         click.echo(f"{dbm_to_watts(dbm):.12e} W")
     else:
-        try:
-            click.echo(f"{watts_to_dbm(watts):.12f} dBm")
-        except ValueError as exc:
-            _fail(EXIT_CONFIG, str(exc))
+        click.echo(f"{watts_to_dbm(watts):.12f} dBm")
 
 
 if __name__ == "__main__":

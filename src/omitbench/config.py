@@ -28,8 +28,7 @@ from .sweeps import (
     dbm_to_watts,
 )
 
-__all__ = ["ConfigError", "GridSettings", "BindingSpec", "FitDatasetSpec",
-           "FitSettings", "RunConfig", "load_config", "CONFIG_SCHEMA"]
+__all__ = ["ConfigError", "GridSettings", "RunConfig", "load_config", "CONFIG_SCHEMA"]
 
 
 class ConfigError(Exception):
@@ -143,41 +142,21 @@ class GridSettings:
     map_half_width_kappa: float = MAP_DELTA_HALF_WIDTH_KAPPA
 
 
-@dataclass(frozen=True)
-class BindingSpec:
-    """Binding entry from the config file, ``init``/``lo``/``hi`` converted
-    to internal units (rad/s, or a count for n_cav)."""
-
-    name: str
-    mode: str
-    group: str | None = None
-    init: float | None = None
-    lo: float | None = None
-    hi: float | None = None
-
-
-@dataclass(frozen=True)
-class FitDatasetSpec:
-    path: str | None = None
-    bindings: tuple = ()
-
-
-@dataclass(frozen=True)
-class FitSettings:
-    bindings: tuple = ()
-    datasets: tuple = ()
-
-
 @dataclass
 class RunConfig:
-    """Validated, unit-converted run configuration."""
+    """Validated, unit-converted run configuration.
+
+    ``fit`` is the file's ``fit`` block with its ``bindings`` and
+    ``datasets`` lists (each dataset with its own ``bindings``) always
+    present, and every binding's ``init``/``lo``/``hi`` in internal units
+    (rad/s, or a count for n_cav)."""
 
     cavity: CavityParams
     mechanics: MechanicalParams
     pumps: list[PumpConfig] = field(default_factory=list)
     grid: GridSettings = field(default_factory=GridSettings)
     noise: NoiseSpec | None = None
-    fit: FitSettings | None = None
+    fit: dict = field(default_factory=lambda: {"bindings": [], "datasets": []})
     meta: dict = field(default_factory=dict)
 
 
@@ -195,12 +174,6 @@ def _build_pump(entry: dict, cfg_mech: MechanicalParams) -> PumpConfig:
     watts = dbm_to_watts(entry["power_dbm"]) if drives[0] == "power_dbm" \
         else float(entry["power_w"])
     return PumpConfig(scheme, delta, p_in=watts)
-
-
-def _binding_spec(entry: dict) -> BindingSpec:
-    name = entry["name"]
-    values = {k: param_from_hz(name, entry[k]) for k in ("init", "lo", "hi") if k in entry}
-    return BindingSpec(name, entry["mode"], group=entry.get("group"), **values)
 
 
 def load_config(path) -> RunConfig:
@@ -244,15 +217,10 @@ def load_config(path) -> RunConfig:
     if "noise" in raw:
         noise = NoiseSpec(sigma=raw["noise"]["sigma"],
                           seed=raw["noise"].get("seed", 0))
-    fit = None
-    if "fit" in raw:
-        fit = FitSettings(
-            bindings=tuple(_binding_spec(b) for b in raw["fit"].get("bindings", [])),
-            datasets=tuple(
-                FitDatasetSpec(path=d.get("path"),
-                               bindings=tuple(_binding_spec(b)
-                                              for b in d.get("bindings", [])))
-                for d in raw["fit"].get("datasets", [])),
-        )
+    fit = raw.get("fit", {})
+    for block in [fit, *fit.setdefault("datasets", [])]:
+        for b in block.setdefault("bindings", []):
+            b.update({k: param_from_hz(b["name"], b[k])
+                      for k in ("init", "lo", "hi") if k in b})
     return RunConfig(cavity=cavity, mechanics=mech, pumps=pumps, grid=grid,
                      noise=noise, fit=fit, meta=dict(raw.get("meta", {})))

@@ -119,23 +119,19 @@ class DatasetFile:
         return PumpScheme.parse(self.meta["scheme"])
 
     @classmethod
-    def from_trace(cls, trace: SweepTrace, meta: dict | None = None) -> "DatasetFile":
+    def from_trace(cls, trace: SweepTrace) -> "DatasetFile":
         """Build a file image from a trace; the trace meta must carry
         pump_freq_hz and scheme."""
-        merged = dict(trace.meta)
-        if meta:
-            merged.update(meta)
-        if "pump_freq_hz" not in merged:
+        if "pump_freq_hz" not in trace.meta:
             raise ValueError("trace meta must carry pump_freq_hz")
-        if "scheme" not in merged:
+        if "scheme" not in trace.meta:
             raise ValueError("trace meta must carry scheme")
-        pump_hz = float(merged["pump_freq_hz"])
+        pump_hz = float(trace.meta["pump_freq_hz"])
         if trace.axis == "offset":
             probe_hz = pump_hz + trace.omega / TWO_PI
         else:
             probe_hz = trace.omega / TWO_PI
-        drop = {"noise_on"}
-        file_meta = {k: v for k, v in merged.items() if k not in drop}
+        file_meta = {k: v for k, v in trace.meta.items() if k != "noise_on"}
         return cls(probe_hz, np.full(len(probe_hz), pump_hz), trace.magnitude(),
                    file_meta)
 
@@ -273,15 +269,22 @@ def _suffix(name: str) -> str:
     return "_hz" if PARAM_UNITS[name] == "rad/s" else ""
 
 
+def _json_number(v: float) -> float | None:
+    """A float as strict JSON takes it: ``null`` stands for a non-finite value."""
+    return v if math.isfinite(v) else None
+
+
 def write_fit_report(path, result, problem, dataset_paths=None) -> None:
     """JSON fit report: fitted values in Hz (n_cav as a count), uncertainties,
-    rms residual, iteration count and convergence flag, plus the resolved
-    per-dataset parameter sets."""
+    rms residual, iteration count, convergence flag and termination reason,
+    plus the resolved per-dataset parameter sets.  The file is strict JSON:
+    a non-finite number, such as an undetermined standard error, is ``null``."""
     params = {}
     for slot, name in zip(problem.slot_names, problem.slot_params):
         params[slot] = {
-            "value" + _suffix(name): param_to_hz(name, result.values[slot]),
-            "stderr" + _suffix(name): param_to_hz(name, result.stderr.get(slot, math.nan)),
+            "value" + _suffix(name): _json_number(param_to_hz(name, result.values[slot])),
+            "stderr" + _suffix(name):
+                _json_number(param_to_hz(name, result.stderr[slot])),
         }
     datasets = []
     for i, resolved in enumerate(result.dataset_params):
@@ -292,18 +295,20 @@ def write_fit_report(path, result, problem, dataset_paths=None) -> None:
         }
         if dataset_paths is not None:
             entry["path"] = str(dataset_paths[i])
-        entry["parameters"] = {n + _suffix(n): param_to_hz(n, v)
+        entry["parameters"] = {n + _suffix(n): _json_number(param_to_hz(n, v))
                                for n, v in resolved.items()}
         datasets.append(entry)
     report = {
         "converged": bool(result.converged),
+        "termination": result.termination,
         "iterations": int(result.iterations),
-        "rms_residual": float(result.rms_residual),
+        "rms_residual": _json_number(float(result.rms_residual)),
         "n_parameters": len(result.values),
         "parameters": params,
         "datasets": datasets,
     }
-    atomic_write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(report, indent=2, sort_keys=True,
+                                       allow_nan=False) + "\n")
 
 
 def write_residual_csv(path, problem, result) -> None:

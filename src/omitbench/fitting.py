@@ -269,7 +269,11 @@ class FitResult:
     optimum scaled by the reduced residual variance; a slot the residuals do
     not depend on (an exactly zero Jacobian column) has a NaN stderr.
     ``cost_history`` is the sequence of accepted residual norms (monotone
-    non-increasing).
+    non-increasing).  ``termination`` says why the fit stopped:
+    ``reduction_tol`` or ``step_tol`` (a relative tolerance was met),
+    ``zero_residual``, ``no_free_parameters``, ``iteration_cap``, or
+    ``penalty`` (the model rejects a dataset at the returned point).
+    ``converged`` is false for the last two.
     """
 
     values: dict[str, float]
@@ -277,6 +281,7 @@ class FitResult:
     rms_residual: float
     iterations: int
     converged: bool
+    termination: str
     cost_history: list[float] = field(default_factory=list)
     dataset_params: list[dict[str, float]] = field(default_factory=list)
 
@@ -311,8 +316,9 @@ def fit(problem: FitProblem) -> FitResult:
     or the relative parameter step drops below 1e-10, capped at 200
     iterations.  On hitting the cap, or when a dataset's residual at the
     returned point is the penalty, the best parameters so far are returned
-    with ``converged=False``.  The Jacobian is evaluated once at the start
-    and once after each accepted step; the standard errors reuse the last.
+    with ``converged=False``; ``termination`` names the reason.  The
+    Jacobian is evaluated once at the start and once after each accepted
+    step; the standard errors reuse the last.
 
     Raises
     ------
@@ -338,11 +344,12 @@ def fit(problem: FitProblem) -> FitResult:
     history = [rnorm]
     lam = INITIAL_DAMPING
     iterations = 0
-    converged = rnorm == 0.0 or n_par == 0
+    termination = ("no_free_parameters" if n_par == 0 else
+                   "zero_residual" if rnorm == 0.0 else None)
     # Invariant: jac is J(x) for the current x.
     jac = _jacobian(res_internal, x, n_pts)
 
-    while not converged and iterations < MAX_ITERATIONS:
+    while termination is None and iterations < MAX_ITERATIONS:
         iterations += 1
         a = jac.T @ jac
         g = jac.T @ r
@@ -366,16 +373,20 @@ def fit(problem: FitProblem) -> FitResult:
             history.append(rnorm)
             lam /= DAMPING_FACTOR
             jac = _jacobian(res_internal, x, n_pts)
-            converged = drop < REL_REDUCTION_TOL or step_rel < REL_STEP_TOL or rnorm == 0.0
+            termination = ("reduction_tol" if drop < REL_REDUCTION_TOL else
+                           "step_tol" if step_rel < REL_STEP_TOL else
+                           "zero_residual" if rnorm == 0.0 else None)
         else:
             lam *= DAMPING_FACTOR
             # Damping has pinned the proposal; no reducing step exists.
-            converged = step_rel < REL_STEP_TOL
+            termination = "step_tol" if step_rel < REL_STEP_TOL else None
 
     # A dataset the model rejects at x gives a flat penalty with a zero
     # Jacobian, so the loop stops there without having fitted anything.
     ends = np.cumsum([ds.n_points for ds in problem.datasets])
-    converged = converged and not any(penalised(part) for part in np.split(r, ends[:-1]))
+    if any(penalised(part) for part in np.split(r, ends[:-1])):
+        termination = "penalty"
+    converged = termination not in (None, "penalty")
     values_phys = _to_physical(x, log_flags)
     stderr_phys = _uncertainties(jac, rnorm, values_phys, log_flags)
     return FitResult(
@@ -384,6 +395,7 @@ def fit(problem: FitProblem) -> FitResult:
         rms_residual=rnorm / math.sqrt(n_pts),
         iterations=iterations,
         converged=converged,
+        termination=termination or "iteration_cap",
         cost_history=history,
         dataset_params=problem.dataset_values(values_phys),
     )

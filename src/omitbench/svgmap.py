@@ -17,7 +17,7 @@ import numpy as np
 from .model import TWO_PI
 from .sweeps import SweepMap, SweepTrace
 
-__all__ = ["render_heatmap", "render_line", "encode_png"]
+__all__ = ["render_heatmap", "render_line"]
 
 # Anchor stops of the fixed colormap (fraction, R, G, B).
 _COLOR_STOPS = np.array([
@@ -66,20 +66,16 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
-    return np.linspace(lo, hi, n)
-
-
 def _axis_svg(x0, y0, w, h, xlo, xhi, ylo, yhi, xlabel, ylabel):
     parts = [f'<rect x="{x0}" y="{y0}" width="{w}" height="{h}" '
              f'fill="none" stroke="#333" stroke-width="1"/>']
-    for t in _ticks(xlo, xhi):
+    for t in np.linspace(xlo, xhi, 5):
         px = x0 + (t - xlo) / (xhi - xlo) * w
         parts.append(f'<line x1="{px:.1f}" y1="{y0 + h}" x2="{px:.1f}" '
                      f'y2="{y0 + h + 5}" stroke="#333"/>')
         parts.append(f'<text x="{px:.1f}" y="{y0 + h + 18}" font-size="11" '
                      f'text-anchor="middle" fill="#333">{_fmt(t)}</text>')
-    for t in _ticks(ylo, yhi):
+    for t in np.linspace(ylo, yhi, 5):
         py = y0 + h - (t - ylo) / (yhi - ylo) * h
         parts.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" '
                      f'y2="{py:.1f}" stroke="#333"/>')
@@ -97,12 +93,13 @@ def _to_db(mag: np.ndarray) -> np.ndarray:
     return 20.0 * np.log10(np.maximum(mag, 1e-12))
 
 
-def render_heatmap(smap: SweepMap, title: str | None = None, db: bool = False) -> str:
+def render_heatmap(smap: SweepMap, db: bool = False) -> str:
     """Render a sweep map as a standalone SVG heatmap (string).
 
     Axes are in Hz (detuning vertical, probe offset horizontal); the raster
     is one PNG pixel per matrix cell.  ``db`` switches the color scale to
-    20*log10 of the magnitude for display only.
+    20*log10 of the magnitude for display only.  The title names the
+    scheme and the photon number recorded in the map metadata.
     """
     values = _to_db(smap.s21_mag) if db else smap.s21_mag.copy()
     vmin, vmax = float(values.min()), float(values.max())
@@ -125,13 +122,12 @@ def render_heatmap(smap: SweepMap, title: str | None = None, db: bool = False) -
              f'href="{uri}"/>']
     parts += _axis_svg(x0, y0, w, h, xlo, xhi, ylo, yhi,
                        "probe offset (Hz)", "pump detuning (Hz)")
-    if title is None:
-        bits = []
-        if "scheme" in smap.meta:
-            bits.append(str(smap.meta["scheme"]))
-        if "n_cav" in smap.meta:
-            bits.append(f'n_cav={_fmt(float(smap.meta["n_cav"]))}')
-        title = " ".join(bits)
+    bits = []
+    if "scheme" in smap.meta:
+        bits.append(str(smap.meta["scheme"]))
+    if "n_cav" in smap.meta:
+        bits.append(f'n_cav={_fmt(float(smap.meta["n_cav"]))}')
+    title = " ".join(bits)
     if title:
         parts.append(f'<text x="{x0 + w / 2}" y="24" font-size="15" '
                      f'text-anchor="middle" fill="#111">{title}</text>')
@@ -154,8 +150,9 @@ def render_heatmap(smap: SweepMap, title: str | None = None, db: bool = False) -
     return "\n".join(parts)
 
 
-def render_line(trace: SweepTrace, title: str | None = None, db: bool = False) -> str:
-    """Render a trace magnitude as a standalone SVG line plot (string)."""
+def render_line(trace: SweepTrace, db: bool = False) -> str:
+    """Render a trace magnitude as a standalone SVG line plot (string),
+    titled with the scheme recorded in the trace metadata."""
     mag = trace.magnitude()
     y = _to_db(mag) if db else mag
     x_hz = trace.omega / TWO_PI
@@ -182,8 +179,7 @@ def render_line(trace: SweepTrace, title: str | None = None, db: bool = False) -
     parts += _axis_svg(x0, y0, w, h, xlo, xhi, ylo, yhi, xlabel, ylabel)
     parts.append(f'<polyline points="{points}" fill="none" stroke="#1f77b4" '
                  f'stroke-width="1.2"/>')
-    if title is None and "scheme" in trace.meta:
-        title = str(trace.meta["scheme"])
+    title = str(trace.meta.get("scheme", ""))
     if title:
         parts.append(f'<text x="{x0 + w / 2}" y="24" font-size="15" '
                      f'text-anchor="middle" fill="#111">{title}</text>')

@@ -251,33 +251,29 @@ def simulate_map(scheme, cav: CavityParams, mech: MechanicalParams,
 def emulate_protocol(scheme, cav: CavityParams, mech: MechanicalParams, *,
                      n_cav: float | None = None, p_in: float | None = None,
                      n_pump_steps: int = 41,
-                     detuning_half_span: float | None = None,
-                     sweep_half_width_gamma_eff: float = LINE_HALF_WIDTH_GAMMA_EFF,
                      points_per_sweep: int = LINE_POINTS,
                      meta: dict | None = None) -> list[SweepTrace]:
     """Narrow probe sweeps at stepped pump frequencies.
 
-    One trace per pump step, each centred on the pump sideband; the pump
-    detunings cover Delta = -/+ omega_m +/- ``detuning_half_span`` (default
-    2 kappa), so the set of absolute sweep centres omega_d -/+ omega_m spans
-    the microwave resonance.  A single step degenerates to one line cut at
+    One trace per pump step, each centred on the pump sideband and spanning
+    the default line-cut width; the pump detunings cover Delta = -/+ omega_m
+    +/- 2 kappa, so the set of absolute sweep centres omega_d -/+ omega_m
+    spans the microwave resonance.  A single step degenerates to one line cut at
     the aligned detuning.
     """
     scheme = PumpScheme.parse(scheme)
     if n_pump_steps < 1:
         raise ValueError("n_pump_steps must be >= 1")
-    if detuning_half_span is None:
-        detuning_half_span = MAP_DELTA_HALF_WIDTH_KAPPA * cav.kappa
     center = scheme.sign * mech.omega_m
     if n_pump_steps == 1:
         deltas = np.array([center])
     else:
-        deltas = center + np.linspace(-detuning_half_span, detuning_half_span, n_pump_steps)
+        half_span = MAP_DELTA_HALF_WIDTH_KAPPA * cav.kappa
+        deltas = center + np.linspace(-half_span, half_span, n_pump_steps)
     traces = []
     for delta in deltas:
         pump = PumpConfig(scheme, float(delta), n_cav=n_cav, p_in=p_in)
-        grid = default_line_grid(pump, cav, mech, points=points_per_sweep,
-                                 half_width_gamma_eff=sweep_half_width_gamma_eff)
+        grid = default_line_grid(pump, cav, mech, points=points_per_sweep)
         traces.append(simulate_line_cut(pump, cav, mech, grid, meta=meta))
     return traces
 

@@ -46,6 +46,10 @@ def run(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
 
 
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 class TestSimulate:
     def test_pump_off_writes_bare_notch(self, runner, tmp_path):
         cfg = write_config(tmp_path)
@@ -264,9 +268,11 @@ class TestFitCommand:
         assert r.exit_code == 4
         assert "converged=False" in r.output
         assert "kappa[0] = 33600.000000 Hz +/- nan Hz" in r.output
-        body = json.loads(report.read_text())
+        assert r.stderr == "error: fit did not converge: penalty (iterations=1)\n"
+        body = json.loads(report.read_text(), parse_constant=reject_constant)
         assert body["converged"] is False
-        assert np.isnan(body["parameters"]["kappa[0]"]["stderr_hz"])
+        assert body["termination"] == "penalty"
+        assert body["parameters"]["kappa[0]"]["stderr_hz"] is None
         rows = (tmp_path / "report_residuals.csv").read_text().splitlines()[1:]
         assert rows and all(row.endswith(",nan,nan") for row in rows)
 
@@ -415,6 +421,75 @@ class TestLinewidth:
         r = runner.invoke(main, ["--config", write_config(tmp_path), verb, str(bad)])
         assert r.exit_code == 2
         assert f"error: {bad}: {problem}" in r.stderr
+
+
+SINGULAR_BLUE = ("singular response at scheme=blue, detuning_hz=3.8e+06, "
+                 "n_cav=1.0348e+06: ")
+PAST_THRESHOLD = ("blue pumping past the parametric instability (sideband-aligned "
+                  "cooperativity 1.01 >= 1); steady-state response is undefined")
+
+
+class TestErrorContract:
+    """Every error path ends with its documented exit code and one exact
+    `error:` line on stderr, never a traceback."""
+
+    @pytest.fixture(autouse=True)
+    def workdir(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, "base.json")
+        write_config(tmp_path, "red.json", pumps=[{"scheme": "red", "n_cav": 1.3e6}])
+        write_config(tmp_path, "blue.json",
+                     grid={"map_delta_points": 5, "map_omega_points": 11},
+                     pumps=[{"scheme": "blue", "n_cav": n_for_coop(1.01)}])
+        write_config(tmp_path, "fit.json", fit={"bindings": [
+            {"name": name, "mode": "free"} for name in ("kappa", "omega_c", "gamma_m")]})
+        (tmp_path / "tiny.csv").write_text("\n".join([
+            "# scheme: red", "# n_cav: 1.3e6", TRACE_HEADER,
+            "5.9962e9,5.9962e9,0.56", "5.9963e9,5.9962e9,0.57"]) + "\n")
+        for args in (["--config", "red.json", "--out", "red.csv", "simulate"],
+                     ["--config", "base.json", "--out", "bare.csv", "simulate",
+                      "--scheme", "red", "--ncav", "0", "--points", "2001"]):
+            assert run(runner, args).exit_code == 0
+
+    @pytest.mark.parametrize("args, code, message", [
+        pytest.param("--out x.csv simulate", 2,
+                     "this command needs --config <file>", id="config-missing"),
+        pytest.param("--config base.json --out x.csv simulate", 2,
+                     "config has no pumps and no pump flags were given",
+                     id="config-no-pumps"),
+        pytest.param("--config base.json photons", 2,
+                     "no pump power: give --power-dbm or --power-w "
+                     "or a power-driven pumps entry in the config", id="config-no-power"),
+        pytest.param("--config red.json --out x.csv simulate --points 1", 2,
+                     "omega must be a 1-D axis with at least 2 points",
+                     id="value-one-point"),
+        pytest.param("--config base.json photons --power-w -1", 2,
+                     "--power-w must be >= 0", id="value-negative-power"),
+        pytest.param("--config base.json photons --power-dbm -116 --power-w 1e-12", 2,
+                     "--power-dbm and --power-w are mutually exclusive",
+                     id="value-two-powers"),
+        pytest.param("convert --watts 0", 2,
+                     "power must be positive to express in dBm", id="value-zero-watts"),
+        pytest.param("linewidth missing.csv", 2,
+                     "[Errno 2] No such file or directory: 'missing.csv'",
+                     id="os-missing-file"),
+        pytest.param("--config blue.json --out x.csv simulate", 3,
+                     SINGULAR_BLUE + PAST_THRESHOLD, id="singular-simulate"),
+        pytest.param("--config blue.json --out x.csv map", 3,
+                     SINGULAR_BLUE + "map row 2 (detuning 3800000.000000 Hz): "
+                     + PAST_THRESHOLD, id="singular-map"),
+        pytest.param("--config fit.json fit tiny.csv", 5,
+                     "2 data points for 3 adjustable parameters", id="insufficient-data"),
+        pytest.param("linewidth bare.csv", 6,
+                     "no spectral feature above the noise floor", id="feature-not-found"),
+        pytest.param("linewidth red.csv", 6,
+                     "only 15 grid points across the feature width (need >= 20)",
+                     id="under-resolved"),
+    ])
+    def test_exit_code_and_message(self, runner, args, code, message):
+        r = run(runner, args.split())
+        assert r.exit_code == code
+        assert r.stderr == f"error: {message}\n"
 
 
 class TestConvert:

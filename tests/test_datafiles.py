@@ -5,6 +5,7 @@ config validation.
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,8 +70,9 @@ class TestDatasetRoundTrip:
 
     def test_meta_round_trip_preserves_types(self, tmp_path):
         trace = red_trace(points=11)
-        data = DatasetFile.from_trace(trace, meta={"note": "warm run",
-                                                   "pump_power_dbm": -96.0})
+        trace = replace(trace, meta={**trace.meta, "note": "warm run",
+                                     "pump_power_dbm": -96.0})
+        data = DatasetFile.from_trace(trace)
         path = tmp_path / "trace.csv"
         write_dataset(path, data)
         back = read_dataset(path)
@@ -441,13 +443,13 @@ class TestConfig:
         }
         cfg = load_config(self.write(tmp_path, payload))
         # Rates are converted from Hz to rad/s on loading; n_cav is a count.
-        kappa, n_cav = cfg.fit.bindings
-        assert kappa.name == "kappa"
-        assert (kappa.init, kappa.lo, kappa.hi) == (TWO_PI * 8e4, TWO_PI * 4e4,
-                                                    TWO_PI * 1.6e5)
-        assert n_cav.init == 1.3e6
-        assert cfg.fit.datasets[0].path == "a.csv"
-        assert cfg.fit.datasets[0].bindings[0].group == "t250"
+        kappa, n_cav = cfg.fit["bindings"]
+        assert kappa["name"] == "kappa"
+        assert (kappa["init"], kappa["lo"], kappa["hi"]) == (TWO_PI * 8e4, TWO_PI * 4e4,
+                                                             TWO_PI * 1.6e5)
+        assert n_cav["init"] == 1.3e6
+        assert cfg.fit["datasets"][0]["path"] == "a.csv"
+        assert cfg.fit["datasets"][0]["bindings"][0]["group"] == "t250"
 
     def test_binding_with_unknown_name_rejected(self, tmp_path):
         payload = self.minimal()

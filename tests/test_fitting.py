@@ -166,6 +166,7 @@ class TestFit:
         problem = FitProblem([FitDataset(trace, PumpScheme.RED, bindings)])
         result = fit(problem)
         assert result.converged
+        assert result.termination in ("reduction_tol", "step_tol")
         assert result.iterations <= 200
         assert result.values["kappa[0]"] == pytest.approx(cav.kappa, rel=1e-6)
         assert result.values["omega_c[0]"] == pytest.approx(cav.omega_c, rel=1e-6)
@@ -328,7 +329,20 @@ class TestFit:
     def test_penalty_plateau_is_not_converged(self):
         result = fit(self._plateau_problem())
         assert not result.converged
+        assert result.termination == "penalty"
         assert result.rms_residual == pytest.approx(1e3)
+
+    def test_iteration_cap_is_not_converged(self, monkeypatch):
+        # Two steps from a 30 % kappa error meet neither tolerance.
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 2)
+        trace, cav, pump = make_trace(points=401)
+        bindings = fixed_bindings(cav, MECH, N_RED_MAX)
+        bindings["kappa"] = ParamBinding.free(
+            "kappa", 1.3 * cav.kappa, 0.3 * cav.kappa, 3.0 * cav.kappa)
+        result = fit(FitProblem([FitDataset(trace, PumpScheme.RED, bindings)]))
+        assert not result.converged
+        assert result.termination == "iteration_cap"
+        assert result.iterations == 2
 
     def test_stderr_nan_on_penalty_plateau(self):
         # The penalty is flat, so the Jacobian at the returned point is zero.
