@@ -209,6 +209,8 @@ def simulate(state: CliState, scheme, detuning_hz, ncav, power_dbm, points,
     """Write swept-probe trace files for the configured pump conditions."""
     cfg = _require_config(state)
     out = _require_out(state)
+    if points is not None and points < 2:
+        raise ValueError("--points must be >= 2")
     pumps = _resolve_pumps(cfg, scheme, detuning_hz, ncav, power_dbm)
     n_points = points if points is not None else cfg.grid.points
     for i, pump in enumerate(pumps):

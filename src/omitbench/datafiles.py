@@ -76,8 +76,18 @@ def _format_meta_value(v) -> str:
     return str(v)
 
 
-def _meta_lines(meta: dict) -> list[str]:
-    return [f"# {k}: {_format_meta_value(v)}" for k, v in meta.items()]
+def _write_csv(path, meta: dict, header: str, columns) -> None:
+    """Atomic, deterministic CSV: ``# key: value`` lines, the header, then one
+    row per entry of ``columns`` (1-D arrays, or 2-D blocks of adjacent
+    columns).  Integer columns print as ``%d``, floats with 13 significant
+    digits."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else FLOAT_FORMAT
+                   for c in columns for _ in range(c.shape[1] if c.ndim == 2 else 1))
+    lines = [f"# {k}: {_format_meta_value(v)}" for k, v in meta.items()]
+    lines.append(header)
+    lines.extend(row % tuple(values) for values in np.column_stack(columns).tolist())
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _parse_meta_value(s: str):
@@ -156,11 +166,8 @@ class DatasetFile:
 
 def write_dataset(path, data: DatasetFile) -> None:
     """Serialize a DatasetFile; atomic, deterministic, 13 significant digits."""
-    lines = _meta_lines(data.meta)
-    lines.append(TRACE_HEADER)
-    for p, d, m in zip(data.probe_freq_hz, data.pump_freq_hz, data.s21_mag):
-        lines.append(",".join(FLOAT_FORMAT % v for v in (p, d, m)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, data.meta, TRACE_HEADER,
+               (data.probe_freq_hz, data.pump_freq_hz, data.s21_mag))
 
 
 def _floats(path, lineno, fields, what) -> list[float]:
@@ -235,14 +242,9 @@ def read_dataset(path) -> DatasetFile:
 def write_map(path, smap: SweepMap) -> None:
     """Serialize a map: detuning axis (Hz) down the first column, probe
     offset axis (Hz) across the header row."""
-    lines = _meta_lines(smap.meta)
     header = [MAP_HEADER_LABEL] + [FLOAT_FORMAT % (w / TWO_PI) for w in smap.omega]
-    lines.append(",".join(header))
-    for i, d in enumerate(smap.delta):
-        row = [FLOAT_FORMAT % (d / TWO_PI)]
-        row.extend(FLOAT_FORMAT % v for v in smap.s21_mag[i])
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, smap.meta, ",".join(header),
+               (smap.delta / TWO_PI, smap.s21_mag))
 
 
 def read_map(path) -> SweepMap:
@@ -315,16 +317,12 @@ def write_residual_csv(path, problem, result) -> None:
     """Per-point residual table for all datasets of a fitted problem.  A
     dataset whose fitted parameters the model rejects has no model values:
     its ``s21_model`` and ``residual`` columns are ``nan``."""
-    lines = ["dataset,probe_freq_hz,s21_data,s21_model,residual"]
+    columns = []
     for i, (ds, params) in enumerate(zip(problem.datasets, result.dataset_params)):
         raw = ds.residuals(params)
         if penalised(raw):
             raw = np.full(ds.n_points, math.nan)
-        probe_hz = ds.omega_p / TWO_PI
-        data = ds.data
-        model = data + raw
-        for j in range(ds.n_points):
-            lines.append("%d,%s,%s,%s,%s" % (
-                i, FLOAT_FORMAT % probe_hz[j], FLOAT_FORMAT % data[j],
-                FLOAT_FORMAT % model[j], FLOAT_FORMAT % raw[j]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        columns.append((np.full(ds.n_points, i), ds.omega_p / TWO_PI, ds.data,
+                        ds.data + raw, raw))
+    _write_csv(path, {}, "dataset,probe_freq_hz,s21_data,s21_model,residual",
+               map(np.concatenate, zip(*columns)))

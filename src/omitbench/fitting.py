@@ -418,23 +418,6 @@ def _noise_estimate(y: np.ndarray) -> float:
     return float(np.median(np.abs(d - np.median(d)))) / (math.sqrt(2.0) * 0.6745)
 
 
-def _half_crossings(axis, dev, idx, half):
-    """Interpolated axis positions where |dev| falls through |half| around idx."""
-    left = None
-    for j in range(idx, 0, -1):
-        if (dev[j - 1] - half) * (dev[j] - half) <= 0 and dev[j] != dev[j - 1]:
-            frac = (half - dev[j - 1]) / (dev[j] - dev[j - 1])
-            left = axis[j - 1] + frac * (axis[j] - axis[j - 1])
-            break
-    right = None
-    for j in range(idx, len(dev) - 1):
-        if (dev[j] - half) * (dev[j + 1] - half) <= 0 and dev[j + 1] != dev[j]:
-            frac = (half - dev[j]) / (dev[j + 1] - dev[j])
-            right = axis[j] + frac * (axis[j + 1] - axis[j])
-            break
-    return left, right
-
-
 def extract_linewidth(trace: SweepTrace) -> float:
     """FWHM of the optomechanical feature (rad/s), by half-contrast crossing.
 
@@ -470,9 +453,15 @@ def extract_linewidth(trace: SweepTrace) -> float:
     if abs(contrast) <= threshold:
         raise FeatureNotFound("no spectral feature above the noise floor")
     half = contrast / 2.0
-    left, right = _half_crossings(axis, dev, idx, half)
-    if left is None or right is None:
+    # Sample pairs (i, i + 1) that bracket the half level: the nearest one
+    # below idx and the nearest at or above it.
+    pairs = np.flatnonzero(((dev[:-1] - half) * (dev[1:] - half) <= 0)
+                           & (dev[1:] != dev[:-1]))
+    j = int(np.searchsorted(pairs, idx))
+    if j == 0 or j == len(pairs):
         raise FeatureNotFound("feature has no half-contrast crossing inside the trace")
+    i = pairs[[j - 1, j]]
+    left, right = axis[i] + (half - dev[i]) / (dev[i + 1] - dev[i]) * (axis[i + 1] - axis[i])
     inside = np.count_nonzero((axis > left) & (axis < right))
     if inside < MIN_POINTS_ACROSS_FWHM:
         raise UnderResolved(

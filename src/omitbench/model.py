@@ -60,7 +60,6 @@ __all__ = [
     "mechanical_susceptibility",
     "intracavity_photon_number",
     "probe_transmission",
-    "probe_transmission_rows",
     "cooperativity",
     "effective_linewidth",
     "param_to_hz",
@@ -300,8 +299,8 @@ def effective_linewidth(mech: MechanicalParams, coop: float, scheme: PumpScheme)
 
 
 def _blue_gate(pump: PumpConfig, cav: CavityParams, mech: MechanicalParams,
-               n_cav: float) -> SingularDenominator | None:
-    """The error for a blue pump at or past the parametric instability, else None.
+               n_cav: float) -> None:
+    """Raise for a blue pump at or past the parametric instability.
 
     The backaction strength follows |chi_c|^2 at the pump sideband, so the
     gate uses the cooperativity weighted by cavity-sideband alignment:
@@ -314,40 +313,12 @@ def _blue_gate(pump: PumpConfig, cav: CavityParams, mech: MechanicalParams,
         half_kappa_sq = (0.5 * cav.kappa) ** 2
         c_loc = coop * half_kappa_sq / (half_kappa_sq + d * d)
         if c_loc >= 1.0:
-            return SingularDenominator(
+            raise SingularDenominator(
                 "blue pumping past the parametric instability "
                 f"(sideband-aligned cooperativity {c_loc:.6g} >= 1); "
                 "steady-state response is undefined",
                 delta=pump.delta,
             )
-    return None
-
-
-def _s21(omega, scheme: PumpScheme, delta, n_cav, cav: CavityParams,
-         mech: MechanicalParams):
-    """S21 behind the denominator guard.
-
-    ``omega`` is a 1-D array.  ``delta`` and ``n_cav`` are scalars, or
-    (rows, 1) columns that broadcast against ``omega``; the guard then names
-    the lowest point of the first singular row.
-    """
-    chi_c = cavity_susceptibility(omega, delta, cav.kappa)
-    chi_m = mechanical_susceptibility(omega, mech, scheme)
-    denom = 1.0 - scheme.sign * (mech.g0 ** 2) * n_cav * chi_c * chi_m
-    if np.min(np.abs(denom)) < DENOMINATOR_GUARD:
-        mag = np.atleast_2d(np.abs(denom))
-        r = int(np.argmax(mag.min(axis=1) < DENOMINATOR_GUARD))
-        c = int(np.argmin(mag[r]))
-        raise SingularDenominator(
-            f"interference denominator |1 -/+ g0^2 n chi_c chi_m| = {mag[r, c]:.3e} "
-            f"< {DENOMINATOR_GUARD:g} at probe offset {omega[c] / TWO_PI:.6f} Hz",
-            omega=float(omega[c]), delta=float(np.ravel(delta)[r]),
-        )
-    # 1 - (kappa_ext/2) chi_c / denom, in place: a map's peak memory stays at
-    # three grid-sized arrays.
-    s21 = 0.5 * cav.kappa_ext * chi_c
-    s21 /= denom
-    return np.subtract(1.0, s21, out=s21)
 
 
 def probe_transmission(omega, pump: PumpConfig, cav: CavityParams,
@@ -380,48 +351,19 @@ def probe_transmission(omega, pump: PumpConfig, cav: CavityParams,
         damping <= 0 at this detuning).
     """
     n_cav = intracavity_photon_number(pump, cav)
-    gate = _blue_gate(pump, cav, mech, n_cav)
-    if gate is not None:
-        raise gate
-    omega = np.asarray(omega, dtype=float)
-    s21 = _s21(np.atleast_1d(omega), pump.scheme, pump.delta, n_cav, cav, mech)
-    if omega.ndim == 0:
-        return complex(s21[0])
-    return s21
-
-
-def probe_transmission_rows(omega, pumps, cav: CavityParams,
-                            mech: MechanicalParams) -> np.ndarray:
-    """Complex S21 over a (pump, probe offset) grid, one row per pump.
-
-    Row r equals ``probe_transmission(omega, pumps[r], cav, mech)`` bit for
-    bit: each row's photon number and blue instability gate are scalars
-    computed exactly as for one pump, and only the array arithmetic
-    broadcasts.  All pumps share one scheme.
-
-    Raises
-    ------
-    SingularDenominator
-        For the first row that :func:`probe_transmission` would reject; its
-        ``delta`` is that row's detuning.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if len({p.scheme for p in pumps}) > 1:
-        raise ValueError("all pumps of a row grid must share one scheme")
-    n_rows, gate = [], None
-    for pump in pumps:
-        n_cav = intracavity_photon_number(pump, cav)
-        gate = _blue_gate(pump, cav, mech, n_cav)
-        if gate is not None:
-            break
-        n_rows.append(n_cav)
-    s21 = np.empty((0, omega.size), dtype=complex)
-    if n_rows:
-        # Rows before a gated one are still checked, so that the earliest
-        # singular row is reported whichever check rejects it.
-        deltas = np.array([p.delta for p in pumps[:len(n_rows)]], dtype=float)
-        s21 = _s21(omega, pumps[0].scheme, deltas[:, None],
-                   np.array(n_rows)[:, None], cav, mech)
-    if gate is not None:
-        raise gate
-    return s21
+    _blue_gate(pump, cav, mech, n_cav)
+    scalar = np.ndim(omega) == 0
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    chi_c = cavity_susceptibility(omega, pump.delta, cav.kappa)
+    chi_m = mechanical_susceptibility(omega, mech, pump.scheme)
+    denom = 1.0 - pump.scheme.sign * (mech.g0 ** 2) * n_cav * chi_c * chi_m
+    mag = np.abs(denom)
+    c = int(np.argmin(mag))
+    if mag[c] < DENOMINATOR_GUARD:
+        raise SingularDenominator(
+            f"interference denominator |1 -/+ g0^2 n chi_c chi_m| = {mag[c]:.3e} "
+            f"< {DENOMINATOR_GUARD:g} at probe offset {omega[c] / TWO_PI:.6f} Hz",
+            omega=float(omega[c]), delta=float(pump.delta),
+        )
+    s21 = 1.0 - 0.5 * cav.kappa_ext * chi_c / denom
+    return complex(s21[0]) if scalar else s21

@@ -43,7 +43,7 @@ def _colormap(frac: np.ndarray) -> np.ndarray:
     return rgb
 
 
-def encode_png(rgb: np.ndarray) -> bytes:
+def _encode_png(rgb: np.ndarray) -> bytes:
     """Encode an (H, W, 3) uint8 array as a PNG byte string."""
     if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
         raise ValueError("expected an (H, W, 3) uint8 array")
@@ -106,7 +106,7 @@ def render_heatmap(smap: SweepMap, db: bool = False) -> str:
     span = vmax - vmin if vmax > vmin else 1.0
     frac = (values - vmin) / span
     # Row 0 holds the lowest detuning; PNG rows run top to bottom.
-    png = encode_png(_colormap(frac[::-1]))
+    png = _encode_png(_colormap(frac[::-1]))
     uri = "data:image/png;base64," + base64.b64encode(png).decode("ascii")
 
     x0, y0, w, h = 100, 40, 520, 420

@@ -24,7 +24,6 @@ from .model import (
     effective_linewidth,
     intracavity_photon_number,
     probe_transmission,
-    probe_transmission_rows,
 )
 
 __all__ = [
@@ -215,8 +214,7 @@ def simulate_map(scheme, cav: CavityParams, mech: MechanicalParams,
     The drive is either a photon number ``n_cav`` held fixed across detuning
     rows (matching how map-level photon numbers are quoted) or a fixed input
     power ``p_in``, in which case the photon number is recomputed per row
-    from the photon relation.  The grid is evaluated in one broadcast call,
-    and each row is exactly the corresponding line cut.
+    from the photon relation.  Rows are line cuts, evaluated one by one.
 
     Raises
     ------
@@ -228,16 +226,16 @@ def simulate_map(scheme, cav: CavityParams, mech: MechanicalParams,
         raise ValueError("specify exactly one of n_cav or p_in")
     delta_grid = np.asarray(delta_grid, dtype=float)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    pumps = [PumpConfig(scheme, float(delta), n_cav=n_cav, p_in=p_in)
-             for delta in delta_grid]
-    try:
-        rows = np.abs(probe_transmission_rows(omega_grid, pumps, cav, mech))
-    except SingularDenominator as exc:
-        r = int(np.flatnonzero(delta_grid == exc.delta)[0])
-        raise SingularDenominator(
-            f"map row {r} (detuning {exc.delta / TWO_PI:.6f} Hz): {exc}",
-            omega=exc.omega, delta=exc.delta,
-        ) from exc
+    rows = np.empty((len(delta_grid), len(omega_grid)))
+    for r, delta in enumerate(delta_grid):
+        pump = PumpConfig(scheme, float(delta), n_cav=n_cav, p_in=p_in)
+        try:
+            rows[r] = np.abs(probe_transmission(omega_grid, pump, cav, mech))
+        except SingularDenominator as exc:
+            raise SingularDenominator(
+                f"map row {r} (detuning {delta / TWO_PI:.6f} Hz): {exc}",
+                omega=exc.omega, delta=exc.delta,
+            ) from exc
     full_meta = {"scheme": scheme.value}
     if n_cav is not None:
         full_meta["n_cav"] = float(n_cav)

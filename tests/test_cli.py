@@ -461,8 +461,11 @@ class TestErrorContract:
                      "no pump power: give --power-dbm or --power-w "
                      "or a power-driven pumps entry in the config", id="config-no-power"),
         pytest.param("--config red.json --out x.csv simulate --points 1", 2,
-                     "omega must be a 1-D axis with at least 2 points",
-                     id="value-one-point"),
+                     "--points must be >= 2", id="value-one-point"),
+        pytest.param("--config red.json --out x.csv simulate --points 0", 2,
+                     "--points must be >= 2", id="value-zero-points"),
+        pytest.param("--config red.json --out x.csv simulate --points -3", 2,
+                     "--points must be >= 2", id="value-negative-points"),
         pytest.param("--config base.json photons --power-w -1", 2,
                      "--power-w must be >= 0", id="value-negative-power"),
         pytest.param("--config base.json photons --power-dbm -116 --power-w 1e-12", 2,

@@ -446,3 +446,32 @@ class TestLinewidthExtraction:
         mag_trace = SweepTrace(trace.omega, trace.magnitude(), meta=trace.meta)
         fwhm = extract_linewidth(mag_trace)
         assert fwhm / TWO_PI == pytest.approx(GAMMA_EFF_RED_HZ, rel=0.02)
+
+    @pytest.mark.parametrize("scheme, kappa_hz, n_cav", [
+        (PumpScheme.RED, 84e3, N_RED_MAX), (PumpScheme.BLUE, 83e3, N_BLUE_MAX)])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-2])
+    def test_width_equals_scalar_walk_reference(self, scheme, kappa_hz, n_cav, sigma):
+        # The same arithmetic as extract_linewidth, with each crossing found
+        # by a scalar walk outward from the extremum: the widths are equal.
+        # At sigma 1e-2 the red trace crosses the half level six times, so
+        # only the crossings nearest the extremum give the reference width.
+        trace, cav, pump = make_trace(scheme, kappa_hz, n_cav, points=2001,
+                                      noise_sigma=sigma, seed=3)
+        power, axis = trace.magnitude() ** 2, trace.omega
+        n = len(power)
+        k = max(3, n // 20)
+        edge = np.concatenate([np.arange(k), np.arange(n - k, n)])
+        x = (axis - axis[n // 2]) / (axis[-1] - axis[0])
+        dev = power - np.polyval(np.polyfit(x[edge], power[edge], 2), x)
+        idx = int(np.argmax(np.abs(dev)))
+        half = float(dev[idx]) / 2.0
+
+        def crossing(js):
+            for j in js:
+                if (dev[j] - half) * (dev[j + 1] - half) <= 0 and dev[j + 1] != dev[j]:
+                    frac = (half - dev[j]) / (dev[j + 1] - dev[j])
+                    return axis[j] + frac * (axis[j + 1] - axis[j])
+
+        left = crossing(range(idx - 1, -1, -1))
+        right = crossing(range(idx, n - 1))
+        assert extract_linewidth(trace) == float(right - left)

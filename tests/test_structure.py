@@ -4,9 +4,13 @@ Parses each package source and fails on an import of an underscore name from
 a sibling module, or on any use of an underscore attribute of an object other
 than ``self`` outside ``fitting.py``, which owns the fitter's private state.
 Dunder names such as ``__setattr__`` are not private.
+
+Export check: in each module that declares ``__all__``, every listed name
+exists and every public top-level function or class is listed.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,36 @@ def test_check_sees_a_private_reach(tmp_path):
                       "    return ds._data, self._own, object.__setattr__\n")
     assert private_reaches(sample) == ["sample.py:1: imports _helper",
                                        "sample.py:3: uses ._data"]
+
+
+def module_exports(path):
+    """``(__all__ or None, public top-level function and class names)``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    exports = None
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exports = ast.literal_eval(node.value)
+    defined = [node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")]
+    return exports, defined
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if module_exports(p)[0] is not None],
+                         ids=lambda p: p.name)
+def test_exports_exist_and_cover_public_definitions(path):
+    name = "omitbench" if path.stem == "__init__" else f"omitbench.{path.stem}"
+    module = importlib.import_module(name)
+    exports, defined = module_exports(path)
+    assert [n for n in exports if not hasattr(module, n)] == []
+    assert [n for n in defined if n not in exports] == []
+
+
+def test_export_check_sees_a_stale_and_an_unexported_name(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("__all__ = ['gone']\n"
+                      "def helper():\n    pass\n"
+                      "def _private():\n    pass\n")
+    assert module_exports(sample) == (["gone"], ["helper"])
