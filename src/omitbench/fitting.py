@@ -4,7 +4,8 @@ Supports the joint (shared-parameter) scheme used for multi-condition
 datasets: a single mechanical frequency and linewidth can be tied across all
 traces taken at one temperature while cavity frequency and linewidth stay
 free per trace.  Residuals are magnitude differences; the optimizer is a
-Levenberg-Marquardt loop with a numeric Jacobian, multiplicative damping
+Levenberg-Marquardt loop with a central-difference Jacobian (2 * sum over
+slots of |datasets(slot)| dataset evaluations), multiplicative damping
 control and bound projection.  Positive-definite rates (kappa, gamma_m,
 n_cav, g0) are optimized in log coordinates.
 """
@@ -178,6 +179,8 @@ class FitDataset:
             res = model - self.data
         except (SingularDenominator, ValueError):
             return np.full(self.n_points, PENALTY_RESIDUAL)
+        if np.isfinite(res).all():
+            return res
         # Guard: a trial evaluation must never leak a non-finite residual.
         return np.nan_to_num(res, nan=PENALTY_RESIDUAL,
                              posinf=PENALTY_RESIDUAL, neginf=-PENALTY_RESIDUAL)
@@ -225,6 +228,11 @@ class FitProblem:
                         f"{(b.init, b.lo, b.hi)} vs {(prev.init, prev.lo, prev.hi)}")
                 slot_of[name] = list(slots).index(key)
             self._params.append((fixed, slot_of))
+        # Each dataset's rows in the stacked residual; each slot's readers.
+        ends = np.cumsum([0] + [ds.n_points for ds in self.datasets]).tolist()
+        self._rows = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        self._readers = [[i for i, (_, slot_of) in enumerate(self._params)
+                          if j in slot_of.values()] for j in range(len(slots))]
 
         bindings = list(slots.values())
         self.slot_names = tuple(slots)
@@ -298,12 +306,17 @@ def _to_physical(x, log_flags):
     return v
 
 
-def _jacobian(fun, x, n_res):
-    """Central-difference Jacobian with per-parameter relative steps."""
-    jac = np.empty((n_res, len(x)))
+def _jacobian(problem, x):
+    """Central-difference Jacobian with per-parameter relative steps.  Column
+    j evaluates only the datasets that read slot j; its other rows are 0."""
+    jac = np.zeros((problem.n_points, len(x)))
     for j, unit in enumerate(np.eye(len(x))):
         h = max(JACOBIAN_REL_STEP * abs(x[j]), JACOBIAN_ABS_STEP)
-        jac[:, j] = (fun(x + h * unit) - fun(x - h * unit)) / (2.0 * h)
+        plus, minus = (problem.dataset_values(_to_physical(xs, problem._log_flags))
+                       for xs in (x + h * unit, x - h * unit))
+        for i in problem._readers[j]:
+            res = problem.datasets[i].residuals
+            jac[problem._rows[i], j] = (res(plus[i]) - res(minus[i])) / (2.0 * h)
     return jac
 
 
@@ -318,7 +331,8 @@ def fit(problem: FitProblem) -> FitResult:
     returned point is the penalty, the best parameters so far are returned
     with ``converged=False``; ``termination`` names the reason.  The
     Jacobian is evaluated once at the start and once after each accepted
-    step; the standard errors reuse the last.
+    step; the standard errors reuse the last.  Each Jacobian costs
+    2 * sum over slots of |datasets(slot)| dataset evaluations.
 
     Raises
     ------
@@ -334,12 +348,8 @@ def fit(problem: FitProblem) -> FitResult:
     log_flags = problem._log_flags
     lo = _to_internal(problem.lower_bounds, log_flags)
     hi = _to_internal(problem.upper_bounds, log_flags)
-
-    def res_internal(x):
-        return residuals(problem, _to_physical(x, log_flags))
-
     x = np.clip(_to_internal(problem.init_values, log_flags), lo, hi)
-    r = res_internal(x)
+    r = residuals(problem, _to_physical(x, log_flags))
     rnorm = float(np.linalg.norm(r))
     history = [rnorm]
     lam = INITIAL_DAMPING
@@ -347,7 +357,7 @@ def fit(problem: FitProblem) -> FitResult:
     termination = ("no_free_parameters" if n_par == 0 else
                    "zero_residual" if rnorm == 0.0 else None)
     # Invariant: jac is J(x) for the current x.
-    jac = _jacobian(res_internal, x, n_pts)
+    jac = _jacobian(problem, x)
 
     while termination is None and iterations < MAX_ITERATIONS:
         iterations += 1
@@ -365,14 +375,14 @@ def fit(problem: FitProblem) -> FitResult:
         # coordinates (omega_c ~ 1e10 rad/s) mask meaningful motion in the
         # O(1) logarithmic coordinates and stop the loop early.
         step_rel = float(np.max(np.abs(x_trial - x) / (1.0 + np.abs(x))))
-        r_trial = res_internal(x_trial)
+        r_trial = residuals(problem, _to_physical(x_trial, log_flags))
         rt_norm = float(np.linalg.norm(r_trial))
         if rt_norm < rnorm:
             drop = (rnorm - rt_norm) / rnorm
             x, r, rnorm = x_trial, r_trial, rt_norm
             history.append(rnorm)
             lam /= DAMPING_FACTOR
-            jac = _jacobian(res_internal, x, n_pts)
+            jac = _jacobian(problem, x)
             termination = ("reduction_tol" if drop < REL_REDUCTION_TOL else
                            "step_tol" if step_rel < REL_STEP_TOL else
                            "zero_residual" if rnorm == 0.0 else None)
@@ -383,8 +393,7 @@ def fit(problem: FitProblem) -> FitResult:
 
     # A dataset the model rejects at x gives a flat penalty with a zero
     # Jacobian, so the loop stops there without having fitted anything.
-    ends = np.cumsum([ds.n_points for ds in problem.datasets])
-    if any(penalised(part) for part in np.split(r, ends[:-1])):
+    if any(penalised(r[rows]) for rows in problem._rows):
         termination = "penalty"
     converged = termination not in (None, "penalty")
     values_phys = _to_physical(x, log_flags)

@@ -349,11 +349,15 @@ def probe_transmission(omega, pump: PumpConfig, cav: CavityParams,
         :data:`DENOMINATOR_GUARD` at any requested point, or the pump
         configuration is at/past the blue parametric instability (effective
         damping <= 0 at this detuning).
+    ValueError
+        If the probe grid ``omega`` is empty.
     """
     n_cav = intracavity_photon_number(pump, cav)
     _blue_gate(pump, cav, mech, n_cav)
     scalar = np.ndim(omega) == 0
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    if omega.size == 0:
+        raise ValueError("empty probe grid: need at least one probe offset omega")
     chi_c = cavity_susceptibility(omega, pump.delta, cav.kappa)
     chi_m = mechanical_susceptibility(omega, mech, pump.scheme)
     denom = 1.0 - pump.scheme.sign * (mech.g0 ** 2) * n_cav * chi_c * chi_m

@@ -332,6 +332,17 @@ class TestFit:
         assert result.termination == "penalty"
         assert result.rms_residual == pytest.approx(1e3)
 
+    def test_penalty_in_a_later_dataset_is_not_converged(self):
+        # Only the second dataset's rows are the penalty at the end.
+        trace, cav, pump = make_trace(points=201)
+        bindings = fixed_bindings(cav, MECH, N_RED_MAX)
+        bindings["kappa"] = ParamBinding.free(
+            "kappa", 1.1 * cav.kappa, 0.3 * cav.kappa, 3 * cav.kappa)
+        fine = FitDataset(trace, PumpScheme.RED, bindings)
+        result = fit(FitProblem([fine] + self._plateau_problem().datasets))
+        assert not result.converged
+        assert result.termination == "penalty"
+
     def test_iteration_cap_is_not_converged(self, monkeypatch):
         # Two steps from a 30 % kappa error meet neither tolerance.
         monkeypatch.setattr(fitting, "MAX_ITERATIONS", 2)
@@ -364,21 +375,25 @@ class TestFit:
         assert result.stderr["kappa[0]"] > 0
 
     def test_one_jacobian_per_accepted_point(self, monkeypatch):
-        # One residual for the start point, one per trial step and one
-        # central-difference Jacobian per accepted point, the last of which
-        # also gives the standard errors.  This fit ends on a rejected step.
+        # Every dataset is evaluated once for the start point and once per
+        # trial step.  One central-difference Jacobian follows each accepted
+        # point (the last also gives the standard errors); its column for a
+        # slot evaluates only the datasets that read that slot, 8 in all for
+        # this pair: kappa and omega_c of each trace (1 each) and the shared
+        # omega_m and gamma_m (2 each).  This fit ends on a rejected step.
         prob, _, _ = self._shared_pair_problem()
         calls = []
-        inner = fitting.residuals
+        inner = FitDataset.residuals
 
-        def counted(*args):
-            calls.append(args)
-            return inner(*args)
+        def counted(ds, p):
+            calls.append(ds)
+            return inner(ds, p)
 
-        monkeypatch.setattr(fitting, "residuals", counted)
+        monkeypatch.setattr(FitDataset, "residuals", counted)
         result = fit(prob)
-        assert len(calls) == (1 + result.iterations + 2 * prob.n_parameters
-                              * len(result.cost_history))
+        reads = 4 * 1 + 2 * 2
+        assert len(calls) == (len(prob.datasets) * (1 + result.iterations)
+                              + 2 * reads * len(result.cost_history))
 
     def test_dataset_params_resolved(self):
         trace, cav, pump = make_trace(points=101)
@@ -410,6 +425,108 @@ class TestFit:
         bindings["kappa"] = ParamBinding.free(
             "kappa", 0.4 * cav.kappa, TWO_PI * 20e3, TWO_PI * 200e3)
         return FitProblem([FitDataset(trace, PumpScheme.RED, bindings)])
+
+
+def joint_six_problem(points=201):
+    """The acceptance-09 shape: red and blue traces at three temperatures,
+    omega_c and kappa free per trace, omega_m and gamma_m shared per
+    temperature (6 datasets, 18 slots)."""
+    datasets = []
+    for temp, gamma_hz, dom_hz in [(250, 15.3, 0.0), (350, 20.0, 7.0), (450, 26.8, 12.0)]:
+        mech = MechanicalParams.from_hz(3.8e6 + dom_hz, gamma_hz, 0.56)
+        for scheme, n_cav in [(PumpScheme.RED, N_RED_MAX), (PumpScheme.BLUE, N_BLUE_MAX)]:
+            trace, cav, _ = make_trace(scheme, 84e3, n_cav, mech=mech, points=points,
+                                       noise_sigma=0.01, seed=len(datasets))
+            b = fixed_bindings(cav, mech, n_cav)
+            b["omega_c"] = ParamBinding.free(
+                "omega_c", cav.omega_c + 0.2 * cav.kappa,
+                cav.omega_c - 5 * cav.kappa, cav.omega_c + 5 * cav.kappa)
+            b["kappa"] = ParamBinding.free(
+                "kappa", 1.05 * cav.kappa, 0.5 * cav.kappa, 2 * cav.kappa)
+            b["omega_m"] = ParamBinding.shared(
+                "omega_m", f"m{temp}", TWO_PI * 3.8e6,
+                TWO_PI * (3.8e6 - 200), TWO_PI * (3.8e6 + 200))
+            b["gamma_m"] = ParamBinding.shared(
+                "gamma_m", f"m{temp}", TWO_PI * 18.0, TWO_PI * 2.0, TWO_PI * 200.0)
+            datasets.append(FitDataset(trace, scheme, b))
+    return FitProblem(datasets)
+
+
+def dense_jacobian(problem, x):
+    """Reference: every column from the full stacked residual at x -/+ h."""
+    def fun(v):
+        return residuals(problem, fitting._to_physical(v, problem._log_flags))
+
+    columns = []
+    for j, unit in enumerate(np.eye(len(x))):
+        h = max(fitting.JACOBIAN_REL_STEP * abs(x[j]), fitting.JACOBIAN_ABS_STEP)
+        columns.append((fun(x + h * unit) - fun(x - h * unit)) / (2.0 * h))
+    return np.column_stack(columns)
+
+
+def internal_start(problem):
+    return fitting._to_internal(problem.init_values, problem._log_flags)
+
+
+class TestSparseJacobian:
+    def test_evaluates_only_the_datasets_that_read_each_slot(self, monkeypatch):
+        prob = joint_six_problem()
+        assert (len(prob.datasets), prob.n_parameters) == (6, 18)
+        calls = []
+        inner = FitDataset.residuals
+
+        def counted(ds, p):
+            calls.append(ds)
+            return inner(ds, p)
+
+        monkeypatch.setattr(FitDataset, "residuals", counted)
+        fitting._jacobian(prob, internal_start(prob))
+        # 12 free slots read by 1 dataset, 6 shared slots read by 2.
+        assert len(calls) == 2 * (12 * 1 + 6 * 2) == 48
+
+    def test_equals_dense_central_difference(self):
+        prob = joint_six_problem()
+        x = internal_start(prob)
+        assert np.array_equal(fitting._jacobian(prob, x), dense_jacobian(prob, x))
+
+    def test_equals_dense_where_a_dataset_is_penalised_at_plus_h(self):
+        # kappa_ext of trace 0 starts half a Jacobian step below its kappa,
+        # so at +h the model rejects that cavity and trace 0 is the penalty.
+        prob = joint_six_problem()
+        ds = prob.datasets[0]
+        kappa = ds.bindings["kappa"].init
+        kext = kappa * (1.0 - 0.5 * fitting.JACOBIAN_REL_STEP)
+        bindings = {**ds.bindings, "kappa_ext": ParamBinding.free(
+            "kappa_ext", kext, 0.5 * kext, kappa)}
+        prob = FitProblem([FitDataset(ds.trace, ds.scheme, bindings)] + prob.datasets[1:])
+        x = internal_start(prob)
+        j = prob.slot_names.index("kappa_ext[0]")
+        h = fitting.JACOBIAN_REL_STEP * abs(x[j])
+        plus = prob.dataset_values(fitting._to_physical(x + h * np.eye(len(x))[j],
+                                                        prob._log_flags))
+        assert fitting.penalised(prob.datasets[0].residuals(plus[0]))
+        assert np.array_equal(fitting._jacobian(prob, x), dense_jacobian(prob, x))
+
+    def test_stderr_nan_for_a_slot_its_only_reader_ignores(self):
+        # Trace 1 has the pump off, so its free g0 moves nothing; gamma_m is
+        # shared with the pumped trace 0, which determines it alone.
+        pumped, cav, _ = make_trace(points=201, noise_sigma=0.01, seed=3)
+        off, _, _ = make_trace(n_cav=0.0, points=201, noise_sigma=0.01, seed=4)
+        datasets = []
+        for trace, n_cav in [(pumped, N_RED_MAX), (off, 0.0)]:
+            b = fixed_bindings(cav, MECH, n_cav)
+            b["kappa"] = ParamBinding.free(
+                "kappa", 1.1 * cav.kappa, 0.3 * cav.kappa, 3 * cav.kappa)
+            b["gamma_m"] = ParamBinding.shared(
+                "gamma_m", "t", 1.1 * MECH.gamma_m, 0.1 * MECH.gamma_m, 10 * MECH.gamma_m)
+            if n_cav == 0.0:
+                b["g0"] = ParamBinding.free("g0", 0.5, 0.1, 2.0)
+            datasets.append(FitDataset(trace, PumpScheme.RED, b))
+        result = fit(FitProblem(datasets))
+        assert result.converged
+        assert np.isnan(result.stderr["g0[1]"])
+        for slot in ("kappa[0]", "kappa[1]", "gamma_m@t"):
+            assert np.isfinite(result.stderr[slot]) and result.stderr[slot] > 0
 
 
 class TestLinewidthExtraction:

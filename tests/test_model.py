@@ -290,6 +290,12 @@ class TestProbeTransmission:
         out = probe_transmission(0.0, pump, cav, MECH)
         assert isinstance(out, complex)
 
+    def test_empty_probe_grid_is_named(self):
+        cav = cav_hz(84e3)
+        pump = PumpConfig(PumpScheme.RED, -MECH.omega_m, n_cav=N_RED_MAX)
+        with pytest.raises(ValueError, match="empty probe grid"):
+            probe_transmission(np.array([]), pump, cav, MECH)
+
     @given(offset_hz=st.floats(min_value=-1e6, max_value=1e6))
     @settings(max_examples=50, deadline=None)
     def test_magnitude_bounded(self, offset_hz):

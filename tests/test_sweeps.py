@@ -361,6 +361,12 @@ class TestMap:
             simulate_map(PumpScheme.RED, cav, MECH, np.array([0.0]), grid,
                          n_cav=1.0, p_in=1.0)
 
+    def test_empty_omega_grid_is_named(self):
+        cav = cav_hz(84e3)
+        with pytest.raises(ValueError, match="empty probe grid"):
+            simulate_map(PumpScheme.RED, cav, MECH, np.array([-MECH.omega_m]),
+                         np.array([]), n_cav=N_RED_MAX)
+
     def test_map_type_validation(self):
         with pytest.raises(ValueError):
             SweepMap(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
