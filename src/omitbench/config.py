@@ -3,9 +3,9 @@ conditions, sweep grids, noise and fit bindings.
 
 All frequencies in the file are Hz (n_cav is a photon count); values are
 converted to angular units when the typed objects are built.  The file is
-validated against a closed schema before anything runs: unknown keys are
-rejected everywhere except inside the free-form ``meta`` block, which is
-copied verbatim into output file comments.
+checked against the closed ``CONFIG_SCHEMA`` (a JSON Schema subset) before
+anything runs: unknown keys are rejected everywhere except inside the
+free-form ``meta`` block, which is copied verbatim into output file comments.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import jsonschema
 
 from .model import (PARAM_UNITS, TWO_PI, CavityParams, MechanicalParams, PumpConfig,
                     PumpScheme, param_from_hz)
@@ -133,6 +131,48 @@ CONFIG_SCHEMA = {
 }
 
 
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
+# Each keyword the checker knows: (the JSON type it constrains, None for any; for
+# a leaf, a test giving jsonschema's message on a violation).  2001.0 is not an integer.
+_KEYWORDS = {
+    "type": (None, lambda v, t: not _is(v, t) and f"{v!r} is not of type {t!r}"),
+    "enum": (None, lambda v, e: v not in e and f"{v!r} is not one of {e!r}"),
+    "minimum": ("number", lambda v, m: v < m and f"{v!r} is less than the minimum of {m!r}"),
+    "exclusiveMinimum": ("number", lambda v, m: v <= m
+                         and f"{v!r} is less than or equal to the minimum of {m!r}"),
+    "minLength": ("string", lambda v, n: len(v) < n and f"{v!r} should be non-empty"),
+    "minItems": ("array", lambda v, n: len(v) < n and f"{v!r} should be non-empty"),
+    **dict.fromkeys(("required", "additionalProperties", "properties"), ("object", None)),
+    "items": ("array", None),
+}
+
+
+def _is(value, json_type):
+    return isinstance(value, _TYPES[json_type]) and not isinstance(value, bool)
+
+
+def _violations(value, schema, loc=()):
+    """Yield ``(loc, message)`` for each way ``value`` breaks ``schema``, in schema-key order."""
+    for key, arg in schema.items():
+        json_type, test = _KEYWORDS[key]
+        if json_type and not _is(value, json_type):
+            continue
+        if test and (message := test(value, arg)):
+            yield loc, message
+        elif key == "required":
+            yield from ((loc, f"{k!r} is a required property") for k in arg if k not in value)
+        elif key == "additionalProperties" and not arg and (
+                extra := sorted(value.keys() - schema.get("properties", {}).keys())):
+            yield loc, "Additional properties are not allowed ({} {} unexpected)".format(
+                ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were")
+        elif key == "properties":
+            for name in (k for k in arg if k in value):
+                yield from _violations(value[name], arg[name], (*loc, name))
+        elif key == "items":
+            for i, item in enumerate(value):
+                yield from _violations(item, arg, (*loc, i))
+
+
 @dataclass(frozen=True)
 class GridSettings:
     points: int = LINE_POINTS
@@ -191,32 +231,20 @@ def load_config(path) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        loc = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigError(f"{path}: {loc}: {exc.message}") from exc
+    # Report the shallowest violation, ties to the later path, as jsonschema does.
+    if errors := list(_violations(raw, CONFIG_SCHEMA)):
+        loc, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
+        raise ConfigError(f"{path}: {'/'.join(map(str, loc)) or '(top level)'}: {message}")
 
     try:
-        cavity = CavityParams.from_hz(
-            raw["cavity"]["omega_c_hz"],
-            raw["cavity"]["kappa_hz"],
-            raw["cavity"]["kappa_ext_hz"],
-        )
-        mech = MechanicalParams.from_hz(
-            raw["mechanics"]["omega_m_hz"],
-            raw["mechanics"]["gamma_m_hz"],
-            raw["mechanics"]["g0_hz"],
-        )
+        cavity = CavityParams.from_hz(**raw["cavity"])
+        mech = MechanicalParams.from_hz(**raw["mechanics"])
         pumps = [_build_pump(p, mech) for p in raw.get("pumps", [])]
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     grid = GridSettings(**raw.get("grid", {}))
-    noise = None
-    if "noise" in raw:
-        noise = NoiseSpec(sigma=raw["noise"]["sigma"],
-                          seed=raw["noise"].get("seed", 0))
+    noise = NoiseSpec(**raw["noise"]) if "noise" in raw else None
     fit = raw.get("fit", {})
     for block in [fit, *fit.setdefault("datasets", [])]:
         for b in block.setdefault("bindings", []):

@@ -80,11 +80,13 @@ def _write_csv(path, meta: dict, header: str, columns) -> None:
     """Atomic, deterministic CSV: ``# key: value`` lines, the header, then one
     row per entry of ``columns`` (1-D arrays, or 2-D blocks of adjacent
     columns).  Integer columns print as ``%d``, floats with 13 significant
-    digits."""
+    digits.  A ValueError names a meta key that would not read back."""
     columns = [np.asarray(c) for c in columns]
     row = ",".join("%d" if c.dtype.kind in "iu" else FLOAT_FORMAT
                    for c in columns for _ in range(c.shape[1] if c.ndim == 2 else 1))
     lines = [f"# {k}: {_format_meta_value(v)}" for k, v in meta.items()]
+    if bad := [k for k, c in zip(meta, lines) if ":" in str(k) or "\n" in c or "\r" in c]:
+        raise ValueError(f"meta key {bad[0]!r}: cannot write a line break, or a ':' in a key")
     lines.append(header)
     lines.extend(row % tuple(values) for values in np.column_stack(columns).tolist())
     atomic_write_text(path, "\n".join(lines) + "\n")

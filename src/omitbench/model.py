@@ -140,8 +140,8 @@ class CavityParams:
             raise ValueError("kappa_ext must satisfy 0 < kappa_ext <= kappa")
 
     @classmethod
-    def from_hz(cls, f_c, kappa_hz, kappa_ext_hz) -> "CavityParams":
-        return cls(TWO_PI * f_c, TWO_PI * kappa_hz, TWO_PI * kappa_ext_hz)
+    def from_hz(cls, omega_c_hz, kappa_hz, kappa_ext_hz) -> "CavityParams":
+        return cls(TWO_PI * omega_c_hz, TWO_PI * kappa_hz, TWO_PI * kappa_ext_hz)
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,8 @@ class MechanicalParams:
             raise ValueError("g0 must be non-negative")
 
     @classmethod
-    def from_hz(cls, f_m, gamma_m_hz, g0_hz) -> "MechanicalParams":
-        return cls(TWO_PI * f_m, TWO_PI * gamma_m_hz, TWO_PI * g0_hz)
+    def from_hz(cls, omega_m_hz, gamma_m_hz, g0_hz) -> "MechanicalParams":
+        return cls(TWO_PI * omega_m_hz, TWO_PI * gamma_m_hz, TWO_PI * g0_hz)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ documented exit codes, and byte-level determinism of the file outputs.
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,6 +444,11 @@ class TestErrorContract:
                      pumps=[{"scheme": "blue", "n_cav": n_for_coop(1.01)}])
         write_config(tmp_path, "fit.json", fit={"bindings": [
             {"name": name, "mode": "free"} for name in ("kappa", "omega_c", "gamma_m")]})
+        write_config(tmp_path, "points.json", grid={"points": 2001.0})
+        write_config(tmp_path, "seed.json", pumps=[{"scheme": "red", "n_cav": 1.3e6}],
+                     noise={"sigma": 0.01, "seed": 3.0})
+        write_config(tmp_path, "note.json", pumps=[{"scheme": "red", "n_cav": 1.3e6}],
+                     meta={"note": "line one\nline two"})
         (tmp_path / "tiny.csv").write_text("\n".join([
             "# scheme: red", "# n_cav: 1.3e6", TRACE_HEADER,
             "5.9962e9,5.9962e9,0.56", "5.9963e9,5.9962e9,0.57"]) + "\n")
@@ -460,6 +466,15 @@ class TestErrorContract:
         pytest.param("--config base.json photons", 2,
                      "no pump power: give --power-dbm or --power-w "
                      "or a power-driven pumps entry in the config", id="config-no-power"),
+        pytest.param("--config points.json --out x.csv simulate", 2,
+                     "points.json: grid/points: 2001.0 is not of type 'integer'",
+                     id="config-float-points"),
+        pytest.param("--config seed.json --out x.csv simulate", 2,
+                     "seed.json: noise/seed: 3.0 is not of type 'integer'",
+                     id="config-float-seed"),
+        pytest.param("--config note.json --out x.csv simulate", 2,
+                     "meta key 'note': cannot write a line break, or a ':' in a key",
+                     id="value-meta-line-break"),
         pytest.param("--config red.json --out x.csv simulate --points 1", 2,
                      "--points must be >= 2", id="value-one-point"),
         pytest.param("--config red.json --out x.csv simulate --points 0", 2,
@@ -493,6 +508,8 @@ class TestErrorContract:
         r = run(runner, args.split())
         assert r.exit_code == code
         assert r.stderr == f"error: {message}\n"
+        if code == 2:  # an input error writes no output file
+            assert not Path("x.csv").exists()
 
 
 class TestConvert:

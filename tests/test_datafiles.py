@@ -83,6 +83,17 @@ class TestDatasetRoundTrip:
         assert back.meta["pump_power_dbm"] == pytest.approx(-96.0)
         assert back.scheme is PumpScheme.RED
 
+    @pytest.mark.parametrize("meta", [{"note": "line one\nline two"},
+                                      {"note": "carriage\rreturn"},
+                                      {"pump: side": "red"}], ids=["lf", "cr", "colon-key"])
+    def test_meta_that_would_not_read_back_is_refused(self, tmp_path, meta):
+        trace = red_trace(points=11)
+        data = DatasetFile.from_trace(replace(trace, meta={**trace.meta, **meta}))
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match=f"meta key {next(iter(meta))!r}"):
+            write_dataset(path, data)
+        assert list(tmp_path.iterdir()) == []
+
     def test_to_trace_matches_source(self, tmp_path):
         trace = red_trace(points=101)
         path = tmp_path / "trace.csv"

@@ -7,10 +7,16 @@ Dunder names such as ``__setattr__`` are not private.
 
 Export check: in each module that declares ``__all__``, every listed name
 exists and every public top-level function or class is listed.
+
+Import check: ``import omitbench.cli`` does not load jsonschema, which would
+add tens of milliseconds to every CLI call.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +88,11 @@ def test_export_check_sees_a_stale_and_an_unexported_name(tmp_path):
                       "def helper():\n    pass\n"
                       "def _private():\n    pass\n")
     assert module_exports(sample) == (["gone"], ["helper"])
+
+
+def test_cli_import_does_not_load_jsonschema():
+    out = subprocess.run(
+        [sys.executable, "-c", "import omitbench.cli, sys; print('jsonschema' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)}, capture_output=True, text=True,
+        check=True, timeout=60)
+    assert out.stdout == "False\n"
