@@ -11,6 +11,7 @@ free-form ``meta`` block, which is copied verbatim into output file comments.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -132,10 +133,20 @@ CONFIG_SCHEMA = {
 
 
 _TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
+
+
+def _type_error(value, json_type):
+    """jsonschema's ``type`` message; NaN and Infinity are not numbers here."""
+    if not _is(value, json_type):
+        return f"{value!r} is not of type {json_type!r}"
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"{json.dumps(value)} is not a finite number"
+
+
 # Each keyword the checker knows: (the JSON type it constrains, None for any; for
 # a leaf, a test giving jsonschema's message on a violation).  2001.0 is not an integer.
 _KEYWORDS = {
-    "type": (None, lambda v, t: not _is(v, t) and f"{v!r} is not of type {t!r}"),
+    "type": (None, _type_error),
     "enum": (None, lambda v, e: v not in e and f"{v!r} is not one of {e!r}"),
     "minimum": ("number", lambda v, m: v < m and f"{v!r} is less than the minimum of {m!r}"),
     "exclusiveMinimum": ("number", lambda v, m: v <= m

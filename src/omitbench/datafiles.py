@@ -10,6 +10,7 @@ values to well below 1e-12 relative.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -38,6 +39,8 @@ __all__ = [
 TRACE_HEADER = "probe_freq_hz,pump_freq_hz,s21_mag"
 MAP_HEADER_LABEL = "pump_detuning_hz"
 FLOAT_FORMAT = "%.12e"
+# Values parsed or formatted at a time: bounds the text held, not the result.
+_BLOCK_VALUES = 4096
 
 
 class DatasetFormatError(ValueError):
@@ -49,14 +52,14 @@ class DatasetFormatError(ValueError):
         self.line = line
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file in the same directory + rename."""
+def atomic_write_text(path, text) -> None:
+    """Write text (a str, or str chunks) to path via a temp file in the same directory + rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -79,17 +82,19 @@ def _format_meta_value(v) -> str:
 def _write_csv(path, meta: dict, header: str, columns) -> None:
     """Atomic, deterministic CSV: ``# key: value`` lines, the header, then one
     row per entry of ``columns`` (1-D arrays, or 2-D blocks of adjacent
-    columns).  Integer columns print as ``%d``, floats with 13 significant
-    digits.  A ValueError names a meta key that would not read back."""
+    columns), one block of rows per ``%``.  Integer columns print as ``%d``,
+    floats with 13 significant digits.  A ValueError names an unwritable meta key."""
     columns = [np.asarray(c) for c in columns]
     row = ",".join("%d" if c.dtype.kind in "iu" else FLOAT_FORMAT
                    for c in columns for _ in range(c.shape[1] if c.ndim == 2 else 1))
     lines = [f"# {k}: {_format_meta_value(v)}" for k, v in meta.items()]
     if bad := [k for k, c in zip(meta, lines) if ":" in str(k) or "\n" in c or "\r" in c]:
         raise ValueError(f"meta key {bad[0]!r}: cannot write a line break, or a ':' in a key")
-    lines.append(header)
-    lines.extend(row % tuple(values) for values in np.column_stack(columns).tolist())
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    table = np.column_stack(columns)
+    step = max(1, _BLOCK_VALUES // table.shape[1])
+    blocks = (f"{row}\n" * len(part) % tuple(part.ravel().tolist())
+              for part in (table[i:i + step] for i in range(0, len(table), step)))
+    atomic_write_text(path, itertools.chain(["\n".join([*lines, header]) + "\n"], blocks))
 
 
 def _parse_meta_value(s: str):
@@ -183,53 +188,82 @@ def _floats(path, lineno, fields, what) -> list[float]:
     return values
 
 
-def _read_csv(path, meta: dict):
-    """Yield ``(line number, header fields)`` of a `#`-commented CSV file,
-    then ``(line number, values)`` for each data row: as many finite floats
-    as the header has fields.  Blank lines are skipped and ``# key: value``
-    comments are parsed into ``meta`` as they are reached."""
-    header = None
+def _read_csv(path, meta: dict, check_header, row_test=None, row_message=""):
+    """One pass over a `#`-commented CSV file.  Blank lines are skipped, ``# key:
+    value`` comments go into ``meta`` as reached, and ``check_header(line number,
+    fields)`` checks the first other line (raising) and makes ``head`` of it.  Each
+    later line is a row of as many finite floats as the header has fields, where
+    ``row_test`` (on a 2-D block) is false; rows are parsed ``_BLOCK_VALUES`` values
+    at a time, and the first fault by line number is reported.  Returns ``(head,
+    rows)``, or ``(None, None)`` without a header."""
+    head, commas, blocks, block, linenos = None, -1, [], [], []
+
+    def check(rows, numbers):
+        finite = np.isfinite(rows).all(axis=1)
+        bad = ~finite | (row_test(rows) if row_test else False)
+        if bad.any():
+            i = int(bad.argmax())
+            raise DatasetFormatError(path, numbers[i],
+                                     row_message if finite[i] else "non-finite value")
+
+    def flush():
+        if not block:
+            return
+        lines, numbers = block[:], linenos[:]
+        del block[:], linenos[:]
+        try:
+            rows = np.array(",".join(lines).split(","), dtype=float).reshape(-1, commas + 1)
+        except ValueError:  # name the line: its own fault, or a row check failing first
+            for n, line in zip(numbers, lines):
+                check(np.array([_floats(path, n, line.split(","), "field")]), [n])
+        check(rows, numbers)
+        blocks.append(rows)
+
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" not in body:
-                    raise DatasetFormatError(path, lineno,
-                                             "comment is not a `key: value` pair")
-                key, value = body.split(":", 1)
-                meta[key.strip()] = _parse_meta_value(value)
-                continue
-            fields = line.split(",")
-            if header is None:
-                header = fields
-                yield lineno, fields
-                continue
-            if len(fields) != len(header):
-                raise DatasetFormatError(
-                    path, lineno, f"expected {len(header)} fields, got {len(fields)}")
-            yield lineno, _floats(path, lineno, fields, "field")
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line[:1] in "#":  # blank, or a comment
+                    key, colon, value = line[1:].partition(":")
+                    if colon:
+                        meta[key.strip()] = _parse_meta_value(value)
+                    elif line:
+                        raise DatasetFormatError(path, lineno,
+                                                 "comment is not a `key: value` pair")
+                elif line.count(",") == commas:
+                    block.append(line)
+                    linenos.append(lineno)
+                    if len(block) * (commas + 1) >= _BLOCK_VALUES:
+                        flush()
+                elif commas < 0:
+                    head, commas = check_header(lineno, line.split(",")), line.count(",")
+                else:
+                    raise DatasetFormatError(
+                        path, lineno, f"expected {commas + 1} fields, got {line.count(',') + 1}")
+        except (ValueError, OSError):  # a bad line, or an unreadable or undecodable file
+            flush()  # a fault in the rows before this line comes first
+            raise
+        flush()
+    if commas < 0:
+        return None, None
+    return head, np.concatenate([np.empty((0, commas + 1)), *blocks])
 
 
 def read_dataset(path) -> DatasetFile:
     """Parse a DatasetFile, reporting the offending line on any format error."""
     path = Path(path)
     meta: dict = {}
-    lines = _read_csv(path, meta)
-    lineno, header = next(lines, (0, None))
-    if header is None:
+
+    def check_header(lineno, header):
+        if ",".join(header) != TRACE_HEADER:
+            raise DatasetFormatError(
+                path, lineno, f"expected header {TRACE_HEADER!r}, got {','.join(header)!r}")
+
+    _, rows = _read_csv(path, meta, check_header, lambda rows: rows[:, 2] < 0,
+                        "s21_mag must be >= 0")
+    if rows is None:
         raise DatasetFormatError(path, 0, "missing column header")
-    if ",".join(header) != TRACE_HEADER:
-        raise DatasetFormatError(
-            path, lineno, f"expected header {TRACE_HEADER!r}, got {','.join(header)!r}")
-    rows = []
-    for lineno, values in lines:
-        if values[2] < 0:
-            raise DatasetFormatError(path, lineno, "s21_mag must be >= 0")
-        rows.append(values)
-    if not rows:
+    if not len(rows):
         raise DatasetFormatError(path, 0, "no data rows")
     if "scheme" not in meta:
         raise DatasetFormatError(path, 0, "missing `# scheme:` metadata")
@@ -237,8 +271,7 @@ def read_dataset(path) -> DatasetFile:
         PumpScheme.parse(meta["scheme"])
     except ValueError as exc:
         raise DatasetFormatError(path, 0, str(exc)) from None
-    probe, pump, mag = map(np.array, zip(*rows))
-    return DatasetFile(probe, pump, mag, meta)
+    return DatasetFile(*np.ascontiguousarray(rows.T), meta)
 
 
 def write_map(path, smap: SweepMap) -> None:
@@ -253,16 +286,15 @@ def read_map(path) -> SweepMap:
     """Parse a map file written by :func:`write_map`."""
     path = Path(path)
     meta: dict = {}
-    lines = _read_csv(path, meta)
-    lineno, header = next(lines, (0, None))
-    if header is None:
-        raise DatasetFormatError(path, 0, "no matrix content")
-    if header[0] != MAP_HEADER_LABEL:
-        raise DatasetFormatError(
-            path, lineno, f"expected header starting with {MAP_HEADER_LABEL!r}")
-    omega_hz = np.array(_floats(path, lineno, header[1:], "axis value"))
-    table = np.array([values for _, values in lines])
-    if not len(table):
+
+    def check_header(lineno, header):
+        if header[0] != MAP_HEADER_LABEL:
+            raise DatasetFormatError(
+                path, lineno, f"expected header starting with {MAP_HEADER_LABEL!r}")
+        return np.array(_floats(path, lineno, header[1:], "axis value"))
+
+    omega_hz, table = _read_csv(path, meta, check_header)
+    if table is None or not len(table):
         raise DatasetFormatError(path, 0, "no matrix content")
     return SweepMap(TWO_PI * table[:, 0], TWO_PI * omega_hz,
                     np.ascontiguousarray(table[:, 1:]), meta)

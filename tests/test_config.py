@@ -3,16 +3,21 @@ full config gets jsonschema's verdict and its exact ``loc: message``, except
 an integral float for an integer key, which omitbench rejects and jsonschema
 accepts.  Configs with two violations get jsonschema's verdict.  A keyword
 the checker does not implement cannot appear in ``CONFIG_SCHEMA`` unnoticed.
+NaN and Infinity, which jsonschema accepts as numbers, exit 2 naming the key.
 """
 
 import copy
 import json
+import math
 import random
+import warnings
 
 import jsonschema
 import pytest
+from click.testing import CliRunner
 
 from omitbench import config
+from omitbench.cli import main
 from omitbench.config import CONFIG_SCHEMA, ConfigError, load_config
 
 FULL = {
@@ -179,3 +184,28 @@ def test_every_schema_keyword_is_implemented():
 def test_an_unimplemented_keyword_fails_loudly():
     with pytest.raises(KeyError, match="maximum"):
         list(config._violations(5, {"type": "integer", "maximum": 3}))
+
+
+@pytest.mark.parametrize("loc, value", [(("pumps", 0, "n_cav"), math.nan),
+                                        (("noise", "sigma"), math.nan),
+                                        (("grid", "half_width_gamma_eff"), math.inf)],
+                         ids=["n_cav-NaN", "sigma-NaN", "half_width-Infinity"])
+def test_non_finite_number_exits_2_naming_its_key(tmp_path, monkeypatch, loc, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = mutated((loc, value, False))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))  # NaN and Infinity, as Python's json writes them
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        r = CliRunner().invoke(main, ["--config", str(path), "--out", "x.csv", "simulate"])
+    assert r.exit_code == 2
+    assert r.stderr == f"error: {path}: {'/'.join(map(str, loc))}: {json.dumps(value)} " \
+                       "is not a finite number\n"
+    assert caught == []
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_meta_may_hold_non_finite_numbers(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**FULL, "meta": {"offset": math.nan}}))
+    assert math.isnan(load_config(path).meta["offset"])

@@ -1,21 +1,26 @@
-"""File-format and config tests: CSV round-trips at full precision,
-line-numbered parse errors, report structure, atomic writes, and JSON
-config validation.
+"""File-format and config tests: CSV round-trips at full precision, golden
+bytes, line-numbered parse errors (the block reader against the line reader
+it replaced), report structure, atomic writes, and JSON config validation.
 """
 
 import json
+import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from omitbench import datafiles
 from omitbench.config import ConfigError, load_config
 from omitbench.datafiles import (
     FLOAT_FORMAT,
+    MAP_HEADER_LABEL,
     TRACE_HEADER,
     DatasetFile,
     DatasetFormatError,
+    _parse_meta_value,
     atomic_write_text,
     read_dataset,
     read_map,
@@ -34,6 +39,7 @@ from omitbench.model import (
 )
 from omitbench.sweeps import (
     NoiseSpec,
+    SweepMap,
     add_noise,
     default_delta_grid,
     default_line_grid,
@@ -254,6 +260,308 @@ class TestMapRoundTrip:
             read_map(p)
         assert ":2:" in str(err.value)
         assert "non-finite" in str(err.value)
+
+
+@pytest.mark.parametrize("block_values", [datafiles._BLOCK_VALUES, 7, 1])
+class TestGoldenBytes:
+    """Literal expected text, whole and split into blocks of rows: a writer
+    rewrite cannot drift a byte unnoticed."""
+
+    @pytest.fixture(autouse=True)
+    def block_size(self, monkeypatch, block_values):
+        monkeypatch.setattr(datafiles, "_BLOCK_VALUES", block_values)
+
+    def test_trace(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_dataset(path, DatasetFile(np.array([5.9999991e9, 6.0e9, 1e10 / 3]),
+                                        np.full(3, 5.9962e9),
+                                        np.array([1.0, 0.123456789012345, 0.0]),
+                                        {"scheme": "red", "n_cav": 1.3e6,
+                                         "temperature_mK": 250, "note": "warm run"}))
+        assert path.read_bytes() == (
+            b"# scheme: red\n"
+            b"# n_cav: 1300000.0\n"
+            b"# temperature_mK: 250\n"
+            b"# note: warm run\n"
+            b"probe_freq_hz,pump_freq_hz,s21_mag\n"
+            b"5.999999100000e+09,5.996200000000e+09,1.000000000000e+00\n"
+            b"6.000000000000e+09,5.996200000000e+09,1.234567890123e-01\n"
+            b"3.333333333333e+09,5.996200000000e+09,0.000000000000e+00\n")
+
+    def test_map(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_map(path, SweepMap(TWO_PI * np.array([-1.5e5, 2.5e4]),
+                                 TWO_PI * np.array([-1e3, 0.0, 1e3 / 3]),
+                                 np.array([[0.5, 1.0, 2 / 3], [1e-20, 0.75, 0.999999999999999]]),
+                                 {"scheme": "blue", "points": 3}))
+        assert path.read_bytes() == (
+            b"# scheme: blue\n"
+            b"# points: 3\n"
+            b"pump_detuning_hz,-1.000000000000e+03,0.000000000000e+00,3.333333333333e+02\n"
+            b"-1.500000000000e+05,5.000000000000e-01,1.000000000000e+00,6.666666666667e-01\n"
+            b"2.500000000000e+04,1.000000000000e-20,7.500000000000e-01,1.000000000000e+00\n")
+
+
+@pytest.mark.parametrize("value, back", [
+    (250, 250), (-3, -3), (1.3e6, 1.3e6), (-96.0, -96.0), (1e-20, 1e-20),
+    ("warm run", "warm run"), ("x: y, z", "x: y, z"), ("Ø", "Ø"), ("", ""),
+    ("007", 7), (" padded ", "padded"), (True, "true"), ("nan", math.nan),
+    ("1e3", 1000.0), ("12", 12),
+], ids=repr)
+def test_meta_round_trip(tmp_path, value, back):
+    """Ints, floats and strings that neither parse as numbers nor carry outer
+    whitespace come back as written; the rest come back as pinned here."""
+    path = tmp_path / "t.csv"
+    write_dataset(path, DatasetFile([1.0], [2.0], [0.5], {"scheme": "red", "k": value}))
+    got = read_dataset(path).meta["k"]
+    assert type(got) is type(back)
+    assert got == back or (math.isnan(back) and math.isnan(got))
+
+
+# The line-by-line reader the block reader replaced, kept as the reference for
+# values, metadata and the first fault by line number.
+def ref_floats(path, lineno, fields, what):
+    try:
+        values = list(map(float, fields))
+    except ValueError:
+        raise DatasetFormatError(path, lineno, f"non-numeric {what}") from None
+    if not all(map(math.isfinite, values)):
+        raise DatasetFormatError(path, lineno, "non-finite value")
+    return values
+
+
+def ref_read_csv(path, meta):
+    header = None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if ":" not in body:
+                    raise DatasetFormatError(path, lineno,
+                                             "comment is not a `key: value` pair")
+                key, value = body.split(":", 1)
+                meta[key.strip()] = _parse_meta_value(value)
+                continue
+            fields = line.split(",")
+            if header is None:
+                header = fields
+                yield lineno, fields
+                continue
+            if len(fields) != len(header):
+                raise DatasetFormatError(
+                    path, lineno, f"expected {len(header)} fields, got {len(fields)}")
+            yield lineno, ref_floats(path, lineno, fields, "field")
+
+
+def ref_read_dataset(path):
+    meta = {}
+    lines = ref_read_csv(path, meta)
+    lineno, header = next(lines, (0, None))
+    if header is None:
+        raise DatasetFormatError(path, 0, "missing column header")
+    if ",".join(header) != TRACE_HEADER:
+        raise DatasetFormatError(
+            path, lineno, f"expected header {TRACE_HEADER!r}, got {','.join(header)!r}")
+    rows = []
+    for lineno, values in lines:
+        if values[2] < 0:
+            raise DatasetFormatError(path, lineno, "s21_mag must be >= 0")
+        rows.append(values)
+    if not rows:
+        raise DatasetFormatError(path, 0, "no data rows")
+    if "scheme" not in meta:
+        raise DatasetFormatError(path, 0, "missing `# scheme:` metadata")
+    try:
+        PumpScheme.parse(meta["scheme"])
+    except ValueError as exc:
+        raise DatasetFormatError(path, 0, str(exc)) from None
+    probe, pump, mag = map(np.array, zip(*rows))
+    return DatasetFile(probe, pump, mag, meta)
+
+
+def ref_read_map(path):
+    meta = {}
+    lines = ref_read_csv(path, meta)
+    lineno, header = next(lines, (0, None))
+    if header is None:
+        raise DatasetFormatError(path, 0, "no matrix content")
+    if header[0] != MAP_HEADER_LABEL:
+        raise DatasetFormatError(
+            path, lineno, f"expected header starting with {MAP_HEADER_LABEL!r}")
+    omega_hz = np.array(ref_floats(path, lineno, header[1:], "axis value"))
+    table = np.array([values for _, values in lines])
+    if not len(table):
+        raise DatasetFormatError(path, 0, "no matrix content")
+    return SweepMap(TWO_PI * table[:, 0], TWO_PI * omega_hz,
+                    np.ascontiguousarray(table[:, 1:]), meta)
+
+
+def outcome(reader, path):
+    """What a reader makes of a file: its arrays and meta, or its error."""
+    try:
+        got = reader(path)
+    except (ValueError, OSError) as exc:
+        return type(exc), str(exc)
+    arrays = ((got.probe_freq_hz, got.pump_freq_hz, got.s21_mag) if isinstance(got, DatasetFile)
+              else (got.delta, got.omega, got.s21_mag))
+    return [a.tolist() for a in arrays], repr(got.meta)
+
+
+TOKENS = ["nan", "-inf", "Infinity", "1e400", "-1e-3", "-0.0", "abc", "", " ", " 1.5 ",
+          "1_0", "1__0", "0x10", "١٢", "１", "+.5", ".", "1e", "#", "1\x00", "\xa01", "NaN"]
+LINES = ["", "   ", "\t", "# key: value", "#", "# no colon", "#:", "# scheme: blue",
+         "# scheme: green", "# n: 007", "1,2", "1,2,3,4", TRACE_HEADER, "x\ry", "1,2,0.5\r"]
+
+
+def base_text(rng, kind):
+    """A well-formed trace or map file with a random shape."""
+    if kind == "trace":
+        rows = rng.integers(1, 40)
+        head = ["# scheme: red", "# n_cav: 1300000.0", TRACE_HEADER]
+        body = [FLOAT_FORMAT % (6e9 + i) + ",5.9962e9," + FLOAT_FORMAT % rng.random()
+                for i in range(rows)]
+    else:
+        rows, cols = rng.integers(1, 12), rng.integers(1, 12)
+        head = ["# scheme: blue", MAP_HEADER_LABEL + "".join(f",{j}.5" for j in range(cols))]
+        body = [",".join(FLOAT_FORMAT % v for v in [1e3 * i, *rng.random(cols)])
+                for i in range(rows)]
+    return head + body
+
+
+def mutate(rng, lines):
+    """One random fault: a bad or negative field, a removed or added field, an
+    inserted, deleted, duplicated or swapped line, or a truncation."""
+    i = int(rng.integers(len(lines))) if lines else 0
+    op = rng.integers(9)
+    if op == 0 and lines:
+        fields = lines[i].split(",")
+        fields[rng.integers(len(fields))] = TOKENS[rng.integers(len(TOKENS))]
+        lines[i] = ",".join(fields)
+    elif op == 1 and lines and "," in lines[i]:
+        lines[i] = lines[i].rsplit(",", 1)[0]
+    elif op == 2 and lines:
+        lines[i] += "," + TOKENS[rng.integers(len(TOKENS))]
+    elif op == 3:
+        lines.insert(i, LINES[rng.integers(len(LINES))])
+    elif op == 4 and lines:
+        del lines[i]
+    elif op == 5 and lines:
+        lines.insert(i, lines[i])
+    elif op == 6 and len(lines) > 1:
+        j = int(rng.integers(len(lines)))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == 7:
+        del lines[i:]
+    elif op == 8 and lines:
+        lines[i] = lines[i].rsplit(",", 1)[0] + ",-0.25"
+    return lines
+
+
+def mutated_files(tmp_path, seed, count):
+    """Seeded trace and map files with 0 to 4 faults each; the file is rewritten in place."""
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "f.csv"
+    for k in range(count):
+        kind = ("trace", "map")[k % 2]
+        lines = base_text(rng, kind)
+        for _ in range(rng.integers(5)):
+            lines = mutate(rng, lines)
+        end = ("\n", "\r\n", "")[rng.integers(3)]
+        path.write_bytes((end or "\n").join(lines).encode() + end.encode())
+        yield kind, path
+
+
+@pytest.mark.parametrize("block_values", [datafiles._BLOCK_VALUES, 7])
+def test_block_reader_matches_line_reader(tmp_path, monkeypatch, block_values):
+    """2,400 seeded single- and multi-fault files, at the real block size and at
+    one that puts block edges inside every file: equal arrays, meta and errors."""
+    monkeypatch.setattr(datafiles, "_BLOCK_VALUES", block_values)
+    seen = set()
+    for kind, path in mutated_files(tmp_path, seed=block_values, count=2400):
+        ours, ref = ((read_dataset, ref_read_dataset) if kind == "trace"
+                     else (read_map, ref_read_map))
+        expect = outcome(ref, path)
+        assert outcome(ours, path) == expect, path.read_bytes()
+        seen.add(re.sub(r"^.*?:\d+: ", "", expect[1]) if isinstance(expect[0], type) else "ok")
+    # Every outcome the readers can give shows up in the corpus.
+    for start in ["ok", "non-numeric field", "non-finite value", "s21_mag must be >= 0",
+                  "expected 3 fields, got 2", "expected 3 fields, got 4",
+                  "comment is not a `key: value` pair", "expected header 'probe",
+                  "expected header starting with ", "non-numeric axis value", "no data rows",
+                  "no matrix content", "missing column header", "missing `# scheme:` metadata",
+                  "unknown pump scheme"]:
+        assert any(message.startswith(start) for message in seen), start
+
+
+class TestBlockEdges:
+    """Faults and comments placed against the real block boundaries."""
+
+    def trace_file(self, tmp_path, rows, edits=()):
+        lines = ["# scheme: red", TRACE_HEADER]
+        lines += [f"{6e9 + i},5.9962e9,0.5" for i in range(rows)]
+        for index, text in edits:  # a comment goes in before the line, a row replaces it
+            if text.startswith("#"):
+                lines.insert(index, text)
+            else:
+                lines[index] = text
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def assert_fault(self, path, reader, line, message):
+        with pytest.raises(DatasetFormatError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+        assert outcome(reader, path) == outcome(ref_read_dataset if reader is read_dataset
+                                                else ref_read_map, path)
+
+    def test_fault_in_the_second_block(self, tmp_path):
+        rows = datafiles._BLOCK_VALUES // 3 + 50
+        row = rows - 10 + 2  # a line of the second block
+        path = self.trace_file(tmp_path, rows, [(row, "1,2,oops")])
+        self.assert_fault(path, read_dataset, row + 1, "non-numeric field")
+
+    def test_first_fault_wins_across_blocks_and_kinds(self, tmp_path):
+        rows = datafiles._BLOCK_VALUES // 3 + 50
+        path = self.trace_file(tmp_path, rows, [(5, "1,2,-0.5"), (7, "1,2,x"),
+                                                (9, "1,2"), (rows, "1,2,nan")])
+        self.assert_fault(path, read_dataset, 6, "s21_mag must be >= 0")
+        path = self.trace_file(tmp_path, rows, [(7, "1,2,inf"), (9, "1,2")])
+        self.assert_fault(path, read_dataset, 8, "non-finite value")
+        path = self.trace_file(tmp_path, rows, [(7, "1,2,inf"), (9, "# no colon")])
+        self.assert_fault(path, read_dataset, 8, "non-finite value")
+
+    def test_map_row_wider_than_one_block(self, tmp_path):
+        cols = datafiles._BLOCK_VALUES + 100
+        smap = SweepMap(TWO_PI * np.array([1.0, 2.0, 3.0]), TWO_PI * np.arange(cols) + 1.0,
+                        np.random.default_rng(3).random((3, cols)), {"scheme": "red"})
+        path = tmp_path / "m.csv"
+        write_map(path, smap)
+        back = read_map(path)
+        assert np.allclose(back.s21_mag, smap.s21_mag, rtol=1e-12, atol=0)
+        assert outcome(read_map, path) == outcome(ref_read_map, path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",inf"
+        path.write_text("\n".join(lines) + "\n")
+        self.assert_fault(path, read_map, 4, "non-finite value")
+
+    def test_comment_between_data_rows(self, tmp_path):
+        rows = datafiles._BLOCK_VALUES // 3 + 50
+        edge = datafiles._BLOCK_VALUES // 3 + 2
+        path = self.trace_file(tmp_path, rows, [(edge, "# a: 1"), (4, "# b: two"), (4, "#c:")])
+        back = read_dataset(path)
+        assert len(back.s21_mag) == rows
+        assert np.array_equal(back.probe_freq_hz, 6e9 + np.arange(rows))
+        assert back.meta == {"scheme": "red", "a": 1, "b": "two", "c": ""}
+        assert outcome(read_dataset, path) == outcome(ref_read_dataset, path)
+
+    def test_fault_before_an_undecodable_byte_a_decoder_chunk_later(self, tmp_path):
+        path = self.trace_file(tmp_path, 1000, [(3, "1,2,oops")])
+        path.write_bytes(path.read_bytes() + b"1,2,\xff\n")
+        self.assert_fault(path, read_dataset, 4, "non-numeric field")
 
 
 class TestAtomicWrite:
