@@ -136,10 +136,15 @@ _TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), 
 
 
 def _type_error(value, json_type):
-    """jsonschema's ``type`` message; NaN and Infinity are not numbers here."""
+    """jsonschema's ``type`` message; NaN, Infinity and an int too large for a
+    float are not numbers here."""
     if not _is(value, json_type):
         return f"{value!r} is not of type {json_type!r}"
-    if isinstance(value, float) and not math.isfinite(value):
+    try:
+        finite = json_type != "number" or math.isfinite(value)
+    except OverflowError:  # an int that no float can hold
+        finite = False
+    if not finite:
         return f"{json.dumps(value)} is not a finite number"
 
 

@@ -41,6 +41,30 @@ MAP_HEADER_LABEL = "pump_detuning_hz"
 FLOAT_FORMAT = "%.12e"
 # Values parsed or formatted at a time: bounds the text held, not the result.
 _BLOCK_VALUES = 4096
+# A mantissa this close to a rounding tie is printed by `%`: 2x its error bound.
+_TIE_GUARD = 2e-3
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # all exact doubles
+_SPECS = np.frombuffer(b"%d".ljust(19, b"\0") + FLOAT_FORMAT.encode().ljust(19, b"\0"),
+                       np.uint8).reshape(2, 19)
+
+
+def _product(*choices: bytes) -> np.ndarray:
+    """A 4-byte word for each way to pick one byte from each of the four
+    ``choices``, the last varying fastest: word i of 4 x _DIGITS reads "%04d" % i."""
+    grids = np.meshgrid(*(np.frombuffer(c, np.uint8) for c in choices), indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, 4).view(np.uint32).ravel()
+
+
+# A %.12e text and its "," or "\n" in five words: sign (NUL if none), lead digit, "."
+# and a digit; 4 digits; 4 digits; 3 digits and "e"; exponent sign, 2 digits and end.
+_DIGITS = b"0123456789"
+_HEADS = _product(b"\0-", _DIGITS, b".", _DIGITS)
+_QUADS = _product(_DIGITS, _DIGITS, _DIGITS, _DIGITS)
+_TAILS = _product(_DIGITS, _DIGITS, _DIGITS, b"e")
+# Word 2 (e + 10) + (1 at a line end) is exponent e: -10 to -1, then 0 to 34.
+_EXPONENTS = np.concatenate([_product(b"-", _DIGITS, _DIGITS, b",\n").reshape(100, 2)[10:0:-1],
+                             _product(b"+", _DIGITS, _DIGITS, b",\n").reshape(100, 2)[:35]]
+                            ).ravel()
 
 
 class DatasetFormatError(ValueError):
@@ -79,21 +103,61 @@ def _format_meta_value(v) -> str:
     return str(v)
 
 
+def _format_rows(part, floats) -> str:
+    r"""The text of ``("%.12e" or "%d" per column, joined by ",", + "\n") * len(part)
+    % tuple(part.ravel().tolist())`` for the 2-D ``part``, where ``floats`` flags the
+    ``%.12e`` columns.  A finite float x in such a column is scaled by
+    10^k, |k| <= 22, an exact power of ten, in one multiply or divide: m = |x| 10^k
+    is then within 2^-53 relative, less than 1e-3 absolute, of the true value, and
+    if m lies in [10^12 + 1, 10^13 - 1) its rounding is the 13 digits `%` prints,
+    with exponent 12 - k.  A mantissa within ``_TIE_GUARD`` of a tie or outside that
+    range, zero, nan, inf and every ``%d`` value are left to `%`: the text holds
+    their specs, and one `%` fills them in."""
+    n, width = part.shape
+    a = np.abs(part).astype(float, copy=False)
+    ok = floats & (a > 0) & (a < np.inf)
+    s = np.where(ok, a, 1.0)
+    k = np.clip(12 - np.floor(np.log10(s)), -22, 22).astype(np.intp)
+    scale = _POW10[np.abs(k)]
+    m = s / scale
+    np.multiply(s, scale, out=m, where=k >= 0)  # only k < 0 divides: 10^k is inexact
+    ok &= (m >= 1e12 + 1) & (m < 1e13 - 1) & (np.abs(m - np.floor(m) - 0.5) >= _TIE_GUARD)
+    r = np.where(ok, np.rint(m), 0.0)
+    # Exact: r < 2^53, and no quotient below is within 2^-53 of an integer but itself.
+    top = np.floor(r / 1e11)
+    r -= 1e11 * top
+    mid = np.floor(r / 1e7)
+    r -= 1e7 * mid
+    low = np.floor(r / 1e3)
+    r -= 1e3 * low
+    buf = np.empty((n, width, 5), np.uint32)
+    buf[..., 0] = _HEADS[(top + 100 * np.signbit(part)).astype(np.intp)]
+    buf[..., 1] = _QUADS[mid.astype(np.intp)]
+    buf[..., 2] = _QUADS[low.astype(np.intp)]
+    buf[..., 3] = _TAILS[r.astype(np.intp)]
+    buf[..., 4] = _EXPONENTS[2 * (22 - k) + (np.arange(width) == width - 1)]
+    # Every other value is left to one `%`: its slot holds its spec and its end.
+    slow = np.flatnonzero(~ok)
+    buf.view(np.uint8).reshape(-1, 20)[slow, :19] = _SPECS[floats[slow % width].astype(np.intp)]
+    return buf.tobytes().translate(None, b"\0").decode() % tuple(part.ravel()[slow].tolist())
+
+
 def _write_csv(path, meta: dict, header: str, columns) -> None:
     """Atomic, deterministic CSV: ``# key: value`` lines, the header, then one
     row per entry of ``columns`` (1-D arrays, or 2-D blocks of adjacent
-    columns), one block of rows per ``%``.  Integer columns print as ``%d``,
-    floats with 13 significant digits.  A ValueError names an unwritable meta key."""
+    columns), formatted ``_BLOCK_VALUES`` values at a time.  Integer columns
+    print as ``%d``; floats exactly as ``%.12e`` prints them (13 significant
+    digits), by a vectorised formatter with a per-value ``%`` fallback.  A
+    ValueError names an unwritable meta key."""
     columns = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if c.dtype.kind in "iu" else FLOAT_FORMAT
-                   for c in columns for _ in range(c.shape[1] if c.ndim == 2 else 1))
     lines = [f"# {k}: {_format_meta_value(v)}" for k, v in meta.items()]
     if bad := [k for k, c in zip(meta, lines) if ":" in str(k) or "\n" in c or "\r" in c]:
         raise ValueError(f"meta key {bad[0]!r}: cannot write a line break, or a ':' in a key")
     table = np.column_stack(columns)
+    floats = np.array([c.dtype.kind not in "iu" for c in columns
+                       for _ in range(c.shape[1] if c.ndim == 2 else 1)])
     step = max(1, _BLOCK_VALUES // table.shape[1])
-    blocks = (f"{row}\n" * len(part) % tuple(part.ravel().tolist())
-              for part in (table[i:i + step] for i in range(0, len(table), step)))
+    blocks = (_format_rows(table[i:i + step], floats) for i in range(0, len(table), step))
     atomic_write_text(path, itertools.chain(["\n".join([*lines, header]) + "\n"], blocks))
 
 
@@ -277,8 +341,8 @@ def read_dataset(path) -> DatasetFile:
 def write_map(path, smap: SweepMap) -> None:
     """Serialize a map: detuning axis (Hz) down the first column, probe
     offset axis (Hz) across the header row."""
-    header = [MAP_HEADER_LABEL] + [FLOAT_FORMAT % (w / TWO_PI) for w in smap.omega]
-    _write_csv(path, smap.meta, ",".join(header),
+    axis = _format_rows(np.atleast_2d(smap.omega / TWO_PI), np.ones(len(smap.omega), bool))
+    _write_csv(path, smap.meta, f"{MAP_HEADER_LABEL},{axis}"[:-1],
                (smap.delta / TWO_PI, smap.s21_mag))
 
 

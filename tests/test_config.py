@@ -3,7 +3,8 @@ full config gets jsonschema's verdict and its exact ``loc: message``, except
 an integral float for an integer key, which omitbench rejects and jsonschema
 accepts.  Configs with two violations get jsonschema's verdict.  A keyword
 the checker does not implement cannot appear in ``CONFIG_SCHEMA`` unnoticed.
-NaN and Infinity, which jsonschema accepts as numbers, exit 2 naming the key.
+NaN, Infinity and integers too large for a float, which jsonschema accepts as
+numbers, exit 2 naming the key.
 """
 
 import copy
@@ -188,13 +189,18 @@ def test_an_unimplemented_keyword_fails_loudly():
 
 @pytest.mark.parametrize("loc, value", [(("pumps", 0, "n_cav"), math.nan),
                                         (("noise", "sigma"), math.nan),
-                                        (("grid", "half_width_gamma_eff"), math.inf)],
-                         ids=["n_cav-NaN", "sigma-NaN", "half_width-Infinity"])
+                                        (("grid", "half_width_gamma_eff"), math.inf),
+                                        (("pumps", 0, "n_cav"), 10 ** 400),
+                                        (("cavity", "omega_c_hz"), 10 ** 400)],
+                         ids=["n_cav-NaN", "sigma-NaN", "half_width-Infinity",
+                              "n_cav-int-1e400", "omega_c-int-1e400"])
 def test_non_finite_number_exits_2_naming_its_key(tmp_path, monkeypatch, loc, value):
     monkeypatch.chdir(tmp_path)
     cfg = mutated((loc, value, False))
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))  # NaN and Infinity, as Python's json writes them
+    # NaN and Infinity as Python's json writes them; 10**400 as 401 digits, which
+    # no float can hold
+    path.write_text(json.dumps(cfg))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         r = CliRunner().invoke(main, ["--config", str(path), "--out", "x.csv", "simulate"])

@@ -1,8 +1,10 @@
 """File-format and config tests: CSV round-trips at full precision, golden
-bytes, line-numbered parse errors (the block reader against the line reader
-it replaced), report structure, atomic writes, and JSON config validation.
+bytes (the vectorised writer against the block-`%` writer it replaced),
+line-numbered parse errors (the block reader against the line reader it
+replaced), report structure, atomic writes, and JSON config validation.
 """
 
+import itertools
 import json
 import math
 import os
@@ -316,6 +318,106 @@ def test_meta_round_trip(tmp_path, value, back):
     got = read_dataset(path).meta["k"]
     assert type(got) is type(back)
     assert got == back or (math.isnan(back) and math.isnan(got))
+
+
+# The block-`%` writer the vectorised formatter replaced, kept as the reference
+# for every byte written.
+def ref_write_csv(path, meta, header, columns):
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else FLOAT_FORMAT
+                   for c in columns for _ in range(c.shape[1] if c.ndim == 2 else 1))
+    lines = [f"# {k}: {datafiles._format_meta_value(v)}" for k, v in meta.items()]
+    table = np.column_stack(columns)
+    step = max(1, datafiles._BLOCK_VALUES // table.shape[1])
+    blocks = (f"{row}\n" * len(part) % tuple(part.ravel().tolist())
+              for part in (table[i:i + step] for i in range(0, len(table), step)))
+    atomic_write_text(path, itertools.chain(["\n".join([*lines, header]) + "\n"], blocks))
+
+
+def ref_write_map(path, smap):
+    header = [MAP_HEADER_LABEL] + [FLOAT_FORMAT % (w / TWO_PI) for w in smap.omega]
+    ref_write_csv(path, smap.meta, ",".join(header), (smap.delta / TWO_PI, smap.s21_mag))
+
+
+def writers_agree(tmp_path, columns):
+    """Both writers' files for ``columns``: equal bytes, or the same error."""
+    texts = []
+    for name, writer in [("ours", datafiles._write_csv), ("ref", ref_write_csv)]:
+        try:
+            writer(tmp_path / name, {}, "h", columns)
+            texts.append((tmp_path / name).read_bytes())
+        except (TypeError, ValueError) as exc:
+            texts.append((type(exc), str(exc)))
+    assert texts[0] == texts[1]
+    return texts[0]
+
+
+# Floats the formatter must hand to `%`, or get right next to that edge.
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+         math.nan, -math.nan, math.inf, -math.inf, 1e22, 1e-22, 1e23, 1e-23, 1e-10,
+         9.99999999999e-11, 9.9999999999995e-11, 1e35, 9.999999999999e34, 9.9999999999995e34,
+         1.0, 0.1, 1.0000000000005, 1.0000000000015, 0.5, 2.5e-5, 1e12, 1e13,
+         *(float(f"9.9999999999995e{e}") for e in range(-30, 40)),
+         *(float(f"9.99999999999949e{e}") for e in range(-30, 40)),
+         *(float(f"{d}.000000000000{t}e{e}") for d in (1, 9) for t in (49, 5, 51)
+           for e in range(-12, 36)),
+         *(10.0 ** e for e in range(-30, 40)), *(np.nextafter(10.0 ** e, 0) for e in range(-30, 40))]
+
+
+def float_corpus(rng, bit_patterns):
+    """Seeded random float64 bit patterns, log-uniform values across the exponents
+    the formatter prints itself, exact 14-digit decimals (half of them ties at 13
+    digits) from 1e-31 to 1e40, and ``EDGES``; each with a random sign."""
+    bits = rng.integers(0, 2 ** 64, bit_patterns, dtype=np.uint64)
+    digits = rng.integers(10 ** 13, 10 ** 14, bit_patterns // 10)
+    digits[::2] = digits[::2] // 10 * 10 + 5
+    exps = rng.integers(-44, 28, len(digits))
+    values = np.concatenate([bits.view(float), 10 ** rng.uniform(-11, 36, bit_patterns // 5),
+                             [float(f"{d}e{e}") for d, e in zip(digits.tolist(), exps.tolist())],
+                             np.repeat(EDGES, 3)])
+    signs = rng.integers(0, 2, len(values), dtype=np.uint64) << np.uint64(63)
+    return (values.view(np.uint64) ^ signs).view(float)  # no arithmetic on a signalling nan
+
+
+@pytest.mark.parametrize("block_values, bit_patterns", [(datafiles._BLOCK_VALUES, 1_000_000),
+                                                        (7, 10_000), (1, 3_000)])
+def test_vectorised_writer_matches_percent_formatting(tmp_path, monkeypatch, block_values,
+                                                      bit_patterns):
+    """The writer against the block-`%` writer it replaced: the same bytes for
+    random bit patterns, ties, decade carries, zeros, subnormals, 1e±22/23, nan,
+    ±inf, a ``%d`` column, and non-float64 tables."""
+    monkeypatch.setattr(datafiles, "_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(block_values)
+    values = float_corpus(rng, bit_patterns)
+    values = values[:len(values) // 4 * 4].reshape(-1, 4)
+    writers_agree(tmp_path, [values[:, 0], values[:, 1:]])
+    rows = values[-30_000:]  # the decimals and edges, behind a %d column
+    ints = rng.integers(-2 ** 62, 2 ** 62, len(rows))
+    ints[:8] = [0, -1, 1, 2 ** 62, -2 ** 62, 7, 10 ** 15, 999]
+    mixed = writers_agree(tmp_path, [ints, rows[:, 0], rows[:, 1:3]])
+    assert mixed.count(b"\n") == len(rows) + 1
+    edges = np.array(EDGES)
+    writers_agree(tmp_path, [edges, edges[::-1]])
+    writers_agree(tmp_path, [edges[~(np.abs(edges) > 3e38)].astype(np.float32)])
+    writers_agree(tmp_path, [np.arange(9), np.arange(9) ** 30])  # int table
+    writers_agree(tmp_path, [np.arange(9) % 2 == 0])  # bool table, printed as %.12e
+    assert writers_agree(tmp_path, [np.arange(3), [1.0, math.nan, -math.inf]]) == \
+        b"h\n0,1.000000000000e+00\n1,nan\n2,-inf\n"
+
+
+@pytest.mark.parametrize("block_values", [datafiles._BLOCK_VALUES, 7, 1])
+def test_map_header_matches_percent_formatting(tmp_path, monkeypatch, block_values):
+    """``write_map``'s axis row, formatted by the same routine, against ``%``."""
+    monkeypatch.setattr(datafiles, "_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(block_values)
+    for cols in [1, 2, 40, 401]:
+        omega = np.unique(np.concatenate([float_corpus(rng, cols)[:cols], [0.0]]))
+        omega = omega[np.isfinite(omega)]
+        smap = SweepMap(TWO_PI * np.array([-1.0, 2e5]), omega,
+                        rng.random((2, len(omega))), {"scheme": "red"})
+        write_map(tmp_path / "ours", smap)
+        ref_write_map(tmp_path / "ref", smap)
+        assert (tmp_path / "ours").read_bytes() == (tmp_path / "ref").read_bytes()
 
 
 # The line-by-line reader the block reader replaced, kept as the reference for
