@@ -21,6 +21,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .datafiles import (
     DatasetFile,
@@ -175,7 +176,7 @@ def _numbered(path: Path, index: int, count: int) -> Path:
 
 
 @click.group(cls=_Cli)
-@click.version_option(package_name="omitbench", prog_name="omitbench")
+@click.version_option(version=__version__, prog_name="omitbench")
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON run configuration.")
 @click.option("--seed", type=int, default=None,

@@ -245,7 +245,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     # Report the shallowest violation, ties to the later path, as jsonschema does.
     if errors := list(_violations(raw, CONFIG_SCHEMA)):

@@ -212,9 +212,8 @@ class DatasetFile:
             probe_hz = pump_hz + trace.omega / TWO_PI
         else:
             probe_hz = trace.omega / TWO_PI
-        file_meta = {k: v for k, v in trace.meta.items() if k != "noise_on"}
         return cls(probe_hz, np.full(len(probe_hz), pump_hz), trace.magnitude(),
-                   file_meta)
+                   dict(trace.meta))
 
     def to_trace(self) -> SweepTrace:
         """Absolute-axis magnitude trace (rad/s) with file metadata attached.
@@ -374,10 +373,11 @@ def _json_number(v: float) -> float | None:
     return v if math.isfinite(v) else None
 
 
-def write_fit_report(path, result, problem, dataset_paths=None) -> None:
+def write_fit_report(path, result, problem, dataset_paths) -> None:
     """JSON fit report: fitted values in Hz (n_cav as a count), uncertainties,
     rms residual, iteration count, convergence flag and termination reason,
-    plus the resolved per-dataset parameter sets.  The file is strict JSON:
+    plus the resolved parameter set of each dataset and the path it was read
+    from (``dataset_paths``, in dataset order).  The file is strict JSON:
     a non-finite number, such as an undetermined standard error, is ``null``."""
     params = {}
     for slot, name in zip(problem.slot_names, problem.slot_params):
@@ -392,9 +392,8 @@ def write_fit_report(path, result, problem, dataset_paths=None) -> None:
             "index": i,
             "scheme": problem.datasets[i].scheme.value,
             "n_points": problem.datasets[i].n_points,
+            "path": str(dataset_paths[i]),
         }
-        if dataset_paths is not None:
-            entry["path"] = str(dataset_paths[i])
         entry["parameters"] = {n + _suffix(n): _json_number(param_to_hz(n, v))
                                for n, v in resolved.items()}
         datasets.append(entry)

@@ -151,7 +151,6 @@ class FitDataset:
     bindings: dict[str, ParamBinding]
 
     def __post_init__(self):
-        self.scheme = PumpScheme.parse(self.scheme)
         for name, b in self.bindings.items():
             if b.name != name:
                 raise ValueError(f"binding key {name!r} does not match binding name {b.name!r}")

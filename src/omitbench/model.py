@@ -251,7 +251,6 @@ def mechanical_susceptibility(omega, mech: MechanicalParams, scheme: PumpScheme)
     complex or ndarray
         chi_m in 1/(rad/s); peak magnitude 2/gamma_m on the sideband.
     """
-    scheme = PumpScheme.parse(scheme)
     x = np.asarray(omega) + scheme.sign * mech.omega_m
     return 1.0 / (0.5 * mech.gamma_m - 1j * x)
 
@@ -294,7 +293,6 @@ def effective_linewidth(mech: MechanicalParams, coop: float, scheme: PumpScheme)
     """
     if coop < 0:
         raise ValueError("cooperativity must be non-negative")
-    scheme = PumpScheme.parse(scheme)
     return mech.gamma_m * (1.0 - scheme.sign * coop)
 
 

@@ -47,6 +47,7 @@ LINE_HALF_WIDTH_GAMMA_EFF = 25.0
 MAP_DELTA_POINTS = 201
 MAP_OMEGA_POINTS = 401
 MAP_DELTA_HALF_WIDTH_KAPPA = 2.0
+PROTOCOL_STEPS = 41
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def default_delta_grid(scheme: PumpScheme, cav: CavityParams, mech: MechanicalPa
                        points: int = MAP_DELTA_POINTS,
                        half_width_kappa: float = MAP_DELTA_HALF_WIDTH_KAPPA) -> np.ndarray:
     """Pump-detuning grid around the sideband-aligned point Delta = -/+ omega_m."""
-    center = PumpScheme.parse(scheme).sign * mech.omega_m
+    center = scheme.sign * mech.omega_m
     half = half_width_kappa * cav.kappa
     return np.linspace(center - half, center + half, points)
 
@@ -206,7 +207,7 @@ def simulate_line_cut(pump: PumpConfig, cav: CavityParams, mech: MechanicalParam
     return SweepTrace(omega=omega_grid, s21=s21, axis="offset", meta=full_meta)
 
 
-def simulate_map(scheme, cav: CavityParams, mech: MechanicalParams,
+def simulate_map(scheme: PumpScheme, cav: CavityParams, mech: MechanicalParams,
                  delta_grid, omega_grid, *, n_cav: float | None = None,
                  p_in: float | None = None, meta: dict | None = None) -> SweepMap:
     """|S21| over a (Delta, Omega) grid.
@@ -221,7 +222,6 @@ def simulate_map(scheme, cav: CavityParams, mech: MechanicalParams,
     SingularDenominator
         Propagated, annotated with the offending detuning row.
     """
-    scheme = PumpScheme.parse(scheme)
     if (n_cav is None) == (p_in is None):
         raise ValueError("specify exactly one of n_cav or p_in")
     delta_grid = np.asarray(delta_grid, dtype=float)
@@ -246,55 +246,43 @@ def simulate_map(scheme, cav: CavityParams, mech: MechanicalParams,
     return SweepMap(delta=delta_grid, omega=omega_grid, s21_mag=rows, meta=full_meta)
 
 
-def emulate_protocol(scheme, cav: CavityParams, mech: MechanicalParams, *,
-                     n_cav: float | None = None, p_in: float | None = None,
-                     n_pump_steps: int = 41,
-                     points_per_sweep: int = LINE_POINTS,
-                     meta: dict | None = None) -> list[SweepTrace]:
-    """Narrow probe sweeps at stepped pump frequencies.
+def emulate_protocol(scheme: PumpScheme, cav: CavityParams, mech: MechanicalParams, *,
+                     n_cav: float) -> list[SweepTrace]:
+    """Narrow probe sweeps at ``PROTOCOL_STEPS`` stepped pump frequencies.
 
     One trace per pump step, each centred on the pump sideband and spanning
     the default line-cut width; the pump detunings cover Delta = -/+ omega_m
     +/- 2 kappa, so the set of absolute sweep centres omega_d -/+ omega_m
-    spans the microwave resonance.  A single step degenerates to one line cut at
-    the aligned detuning.
+    spans the microwave resonance.
     """
-    scheme = PumpScheme.parse(scheme)
-    if n_pump_steps < 1:
-        raise ValueError("n_pump_steps must be >= 1")
     center = scheme.sign * mech.omega_m
-    if n_pump_steps == 1:
-        deltas = np.array([center])
-    else:
-        half_span = MAP_DELTA_HALF_WIDTH_KAPPA * cav.kappa
-        deltas = center + np.linspace(-half_span, half_span, n_pump_steps)
+    half_span = MAP_DELTA_HALF_WIDTH_KAPPA * cav.kappa
+    deltas = center + np.linspace(-half_span, half_span, PROTOCOL_STEPS)
     traces = []
     for delta in deltas:
-        pump = PumpConfig(scheme, float(delta), n_cav=n_cav, p_in=p_in)
-        grid = default_line_grid(pump, cav, mech, points=points_per_sweep)
-        traces.append(simulate_line_cut(pump, cav, mech, grid, meta=meta))
+        pump = PumpConfig(scheme, float(delta), n_cav=n_cav)
+        grid = default_line_grid(pump, cav, mech)
+        traces.append(simulate_line_cut(pump, cav, mech, grid))
     return traces
 
 
 def add_noise(trace: SweepTrace, noise: NoiseSpec) -> SweepTrace:
-    """Additive white Gaussian noise, deterministic for a given seed.
+    """Additive white Gaussian noise on each quadrature of a complex trace,
+    deterministic for a given seed.  A zero sigma returns the input unchanged.
 
-    Complex traces get independent noise per quadrature; magnitude traces get
-    noise on the magnitude directly (flagged in ``meta['noise_on']``).  A
-    zero sigma returns the input unchanged.
+    Raises
+    ------
+    ValueError
+        For a magnitude-only trace.
     """
+    if not trace.is_complex:
+        raise ValueError("add_noise needs a complex trace")
     if noise.sigma == 0:
         return trace
     rng = np.random.default_rng(noise.seed)
-    n = len(trace.omega)
+    draws = rng.standard_normal((2, len(trace.omega)))
+    s21 = trace.s21 + noise.sigma * (draws[0] + 1j * draws[1])
     meta = dict(trace.meta)
     meta["noise_sigma"] = noise.sigma
     meta["noise_seed"] = noise.seed
-    if trace.is_complex:
-        draws = rng.standard_normal((2, n))
-        s21 = trace.s21 + noise.sigma * (draws[0] + 1j * draws[1])
-        meta["noise_on"] = "quadratures"
-    else:
-        s21 = np.maximum(trace.s21 + noise.sigma * rng.standard_normal(n), 0.0)
-        meta["noise_on"] = "magnitude"
     return replace(trace, s21=s21, meta=meta)

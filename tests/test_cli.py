@@ -1,15 +1,21 @@
 """End-to-end command-line tests through click's runner: every verb, the
 documented exit codes, and byte-level determinism of the file outputs.
+``--version`` is checked in a process started from the source tree, the way
+a checkout runs the command.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from omitbench import __version__
 from omitbench.cli import main
 from omitbench.datafiles import TRACE_HEADER, read_dataset, read_map
 
@@ -449,6 +455,10 @@ class TestErrorContract:
                      noise={"sigma": 0.01, "seed": 3.0})
         write_config(tmp_path, "note.json", pumps=[{"scheme": "red", "n_cav": 1.3e6}],
                      meta={"note": "line one\nline two"})
+        # json.dumps cannot print a 5,001-digit integer, so it is spliced in.
+        (tmp_path / "huge.json").write_text(
+            json.dumps(base_config(pumps=[{"scheme": "red", "n_cav": 0}]))
+            .replace('"n_cav": 0', '"n_cav": 1' + "0" * 5000))
         (tmp_path / "tiny.csv").write_text("\n".join([
             "# scheme: red", "# n_cav: 1.3e6", TRACE_HEADER,
             "5.9962e9,5.9962e9,0.56", "5.9963e9,5.9962e9,0.57"]) + "\n")
@@ -472,6 +482,11 @@ class TestErrorContract:
         pytest.param("--config seed.json --out x.csv simulate", 2,
                      "seed.json: noise/seed: 3.0 is not of type 'integer'",
                      id="config-float-seed"),
+        pytest.param("--config huge.json --out x.csv simulate", 2,
+                     "huge.json: invalid JSON: Exceeds the limit (4300 digits) for integer "
+                     "string conversion: value has 5001 digits; use "
+                     "sys.set_int_max_str_digits() to increase the limit",
+                     id="config-int-over-4300-digits"),
         pytest.param("--config note.json --out x.csv simulate", 2,
                      "meta key 'note': cannot write a line break, or a ':' in a key",
                      id="value-meta-line-break"),
@@ -541,3 +556,11 @@ class TestConvert:
     def test_zero_watts_exit_2(self, runner):
         r = runner.invoke(main, ["convert", "--watts", "0"])
         assert r.exit_code == 2
+
+
+def test_version_runs_from_the_source_tree():
+    src = Path(__file__).resolve().parents[1] / "src"
+    r = subprocess.run([sys.executable, "-m", "omitbench.cli", "--version"],
+                       env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                       text=True, timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (0, f"omitbench, version {__version__}\n", "")

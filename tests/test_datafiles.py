@@ -727,8 +727,8 @@ class TestFitReport:
     def test_report_is_deterministic(self, tmp_path):
         problem, result = self.fitted_problem()
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_fit_report(a, result, problem)
-        write_fit_report(b, result, problem)
+        write_fit_report(a, result, problem, ["trace.csv"])
+        write_fit_report(b, result, problem, ["trace.csv"])
         assert a.read_bytes() == b.read_bytes()
 
     def test_residual_csv(self, tmp_path):

@@ -10,18 +10,25 @@ exists and every public top-level function or class is listed.
 
 Import check: ``import omitbench.cli`` does not load jsonschema, which would
 add tens of milliseconds to every CLI call.
+
+Documentation checks: ``pyproject.toml`` declares the package's
+``__version__``, and the README's library example runs.
 """
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "omitbench"
+import omitbench
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "omitbench"
 
 
 def is_private(name):
@@ -96,3 +103,18 @@ def test_cli_import_does_not_load_jsonschema():
         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, capture_output=True, text=True,
         check=True, timeout=60)
     assert out.stdout == "False\n"
+
+
+def test_pyproject_declares_the_package_version():
+    # A regex, not tomllib: Python 3.10 has no tomllib.
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "([^"]*)"$', text, re.M) == [omitbench.__version__]
+
+
+def test_readme_library_example_runs(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library in five lines\n\n```python\n(.*?)```", text, re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    peak, coop = map(float, capsys.readouterr().out.split())
+    assert peak == pytest.approx(0.76913, rel=1e-4)
+    assert coop == pytest.approx(1.26885, rel=1e-4)

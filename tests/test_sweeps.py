@@ -374,20 +374,9 @@ class TestMap:
 
 
 class TestProtocol:
-    def test_single_step_equals_line_cut(self):
-        cav = cav_hz(84e3)
-        traces = emulate_protocol(PumpScheme.RED, cav, MECH, n_cav=N_RED_MAX,
-                                  n_pump_steps=1, points_per_sweep=101)
-        assert len(traces) == 1
-        cut = simulate_line_cut(red_pump(), cav, MECH,
-                                default_line_grid(red_pump(), cav, MECH,
-                                                  points=101))
-        assert np.array_equal(traces[0].s21, cut.s21)
-
     def test_sweep_centers_cover_cavity_line(self):
         cav = cav_hz(84e3)
-        traces = emulate_protocol(PumpScheme.RED, cav, MECH, n_cav=N_RED_MAX,
-                                  n_pump_steps=21, points_per_sweep=11)
+        traces = emulate_protocol(PumpScheme.RED, cav, MECH, n_cav=N_RED_MAX)
         centers = []
         for t in traces:
             omega_d = TWO_PI * t.meta["pump_freq_hz"]
@@ -400,8 +389,7 @@ class TestProtocol:
         # Transparency window height at the extremal pump steps (sideband
         # missing the cavity by 2 kappa) is under 10% of the central step's.
         cav = cav_hz(84e3)
-        traces = emulate_protocol(PumpScheme.RED, cav, MECH, n_cav=N_RED_MAX,
-                                  n_pump_steps=41, points_per_sweep=401)
+        traces = emulate_protocol(PumpScheme.RED, cav, MECH, n_cav=N_RED_MAX)
         def window_height(t):
             m = t.magnitude()
             floor = np.median(np.concatenate([m[:20], m[-20:]]))
@@ -409,21 +397,6 @@ class TestProtocol:
         center = window_height(traces[20])
         assert window_height(traces[0]) < 0.1 * center
         assert window_height(traces[-1]) < 0.1 * center
-
-    def test_metadata_passthrough(self):
-        cav = cav_hz(84e3)
-        for dbm in (-116, -96, -86):
-            traces = emulate_protocol(PumpScheme.RED, cav, MECH,
-                                      n_cav=N_RED_MAX, n_pump_steps=3,
-                                      points_per_sweep=11,
-                                      meta={"probe_power_dbm": dbm})
-            assert all(t.meta["probe_power_dbm"] == dbm for t in traces)
-
-    def test_requires_positive_steps(self):
-        cav = cav_hz(84e3)
-        with pytest.raises(ValueError):
-            emulate_protocol(PumpScheme.RED, cav, MECH, n_cav=1.0,
-                             n_pump_steps=0)
 
 
 class TestNoise:
@@ -453,12 +426,11 @@ class TestNoise:
         b = add_noise(self._flat_trace(), NoiseSpec(0.01, seed=2))
         assert not np.array_equal(a.s21, b.s21)
 
-    def test_magnitude_trace_noise_is_flagged_and_clipped(self):
+    def test_magnitude_trace_rejected(self):
         omega = np.linspace(0.0, 1.0, 1000)
         t = SweepTrace(omega, np.full(1000, 1e-4))
-        out = add_noise(t, NoiseSpec(0.05, seed=5))
-        assert out.meta["noise_on"] == "magnitude"
-        assert np.all(out.s21 >= 0.0)
+        with pytest.raises(ValueError, match="complex trace"):
+            add_noise(t, NoiseSpec(0.05, seed=5))
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
