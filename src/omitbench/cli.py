@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_config
+from .config import MAX_LINE_POINTS, ConfigError, RunConfig, load_config
 from .datafiles import (
     DatasetFile,
     atomic_write_text,
@@ -149,9 +149,10 @@ def _resolve_pumps(cfg: RunConfig, scheme, detuning_hz, ncav, power_dbm, power_w
         if not cfg.pumps:
             raise ConfigError("config has no pumps and no pump flags were given")
         return cfg.pumps
-    base = cfg.pumps[0] if cfg.pumps else None
-    sch = PumpScheme.parse(scheme) if scheme else (base.scheme if base
-                                                   else PumpScheme.RED)
+    sch = PumpScheme.parse(scheme) if scheme else None
+    # The first configured pump of the requested scheme, else the first one.
+    base = next((p for p in cfg.pumps if p.scheme is sch), cfg.pumps[0] if cfg.pumps else None)
+    sch = sch or (base.scheme if base else PumpScheme.RED)
     if detuning_hz is not None:
         delta = TWO_PI * detuning_hz
     elif base is not None and scheme is None:
@@ -212,6 +213,8 @@ def simulate(state: CliState, scheme, detuning_hz, ncav, power_dbm, points,
     out = _require_out(state)
     if points is not None and points < 2:
         raise ValueError("--points must be >= 2")
+    if points is not None and points > MAX_LINE_POINTS:
+        raise ValueError(f"--points must be <= {MAX_LINE_POINTS}")
     pumps = _resolve_pumps(cfg, scheme, detuning_hz, ncav, power_dbm)
     n_points = points if points is not None else cfg.grid.points
     for i, pump in enumerate(pumps):

@@ -29,6 +29,10 @@ from .sweeps import (
 
 __all__ = ["ConfigError", "GridSettings", "RunConfig", "load_config", "CONFIG_SCHEMA"]
 
+# The largest grids a config or --points may ask for: a 4096 x 4096 map is 134 MB.
+MAX_LINE_POINTS = 1_000_000
+MAX_MAP_AXIS_POINTS = 4096
+
 
 class ConfigError(Exception):
     """Configuration file missing, unparsable or schema-invalid."""
@@ -93,10 +97,12 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "points": {"type": "integer", "minimum": 2},
+                "points": {"type": "integer", "minimum": 2, "maximum": MAX_LINE_POINTS},
                 "half_width_gamma_eff": {"type": "number", "exclusiveMinimum": 0},
-                "map_delta_points": {"type": "integer", "minimum": 2},
-                "map_omega_points": {"type": "integer", "minimum": 2},
+                "map_delta_points": {"type": "integer", "minimum": 2,
+                                     "maximum": MAX_MAP_AXIS_POINTS},
+                "map_omega_points": {"type": "integer", "minimum": 2,
+                                     "maximum": MAX_MAP_AXIS_POINTS},
                 "map_half_width_kappa": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -154,6 +160,7 @@ _KEYWORDS = {
     "type": (None, _type_error),
     "enum": (None, lambda v, e: v not in e and f"{v!r} is not one of {e!r}"),
     "minimum": ("number", lambda v, m: v < m and f"{v!r} is less than the minimum of {m!r}"),
+    "maximum": ("number", lambda v, m: v > m and f"{v!r} is greater than the maximum of {m!r}"),
     "exclusiveMinimum": ("number", lambda v, m: v <= m
                          and f"{v!r} is less than or equal to the minimum of {m!r}"),
     "minLength": ("string", lambda v, n: len(v) < n and f"{v!r} should be non-empty"),

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,7 +40,7 @@ __all__ = [
 TRACE_HEADER = "probe_freq_hz,pump_freq_hz,s21_mag"
 MAP_HEADER_LABEL = "pump_detuning_hz"
 FLOAT_FORMAT = "%.12e"
-# Values parsed or formatted at a time: bounds the text held, not the result.
+# Values formatted at a time: bounds the text held, not the result.
 _BLOCK_VALUES = 4096
 # A mantissa this close to a rounding tie is printed by `%`: 2x its error bound.
 _TIE_GUARD = 2e-3
@@ -251,65 +252,54 @@ def _floats(path, lineno, fields, what) -> list[float]:
     return values
 
 
+def _lines(path, fh, meta: dict):
+    """``(line number, stripped line)`` for each line of ``fh`` that is neither
+    blank nor a comment; each ``# key: value`` comment goes into ``meta``."""
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if line[:1] != "#":
+            if line:
+                yield lineno, line
+            continue
+        key, colon, value = line[1:].partition(":")
+        if not colon:
+            raise DatasetFormatError(path, lineno, "comment is not a `key: value` pair")
+        meta[key.strip()] = _parse_meta_value(value)
+
+
 def _read_csv(path, meta: dict, check_header, row_test=None, row_message=""):
-    """One pass over a `#`-commented CSV file.  Blank lines are skipped, ``# key:
-    value`` comments go into ``meta`` as reached, and ``check_header(line number,
-    fields)`` checks the first other line (raising) and makes ``head`` of it.  Each
-    later line is a row of as many finite floats as the header has fields, where
-    ``row_test`` (on a 2-D block) is false; rows are parsed ``_BLOCK_VALUES`` values
-    at a time, and the first fault by line number is reported.  Returns ``(head,
-    rows)``, or ``(None, None)`` without a header."""
-    head, commas, blocks, block, linenos = None, -1, [], [], []
-
-    def check(rows, numbers):
-        finite = np.isfinite(rows).all(axis=1)
-        bad = ~finite | (row_test(rows) if row_test else False)
-        if bad.any():
-            i = int(bad.argmax())
-            raise DatasetFormatError(path, numbers[i],
-                                     row_message if finite[i] else "non-finite value")
-
-    def flush():
-        if not block:
-            return
-        lines, numbers = block[:], linenos[:]
-        del block[:], linenos[:]
-        try:
-            rows = np.array(",".join(lines).split(","), dtype=float).reshape(-1, commas + 1)
-        except ValueError:  # name the line: its own fault, or a row check failing first
-            for n, line in zip(numbers, lines):
-                check(np.array([_floats(path, n, line.split(","), "field")]), [n])
-        check(rows, numbers)
-        blocks.append(rows)
-
+    """Read a `#`-commented CSV file: ``check_header(line number, fields)`` checks
+    the first line that is neither blank nor a comment (raising) and makes ``head``
+    of it; each later line is a row of as many finite floats, where ``row_test`` (on
+    a 2-D array) is false.  numpy parses the body; one it rejects is read again line
+    by line, naming the first fault.  Returns ``(head, rows)``, or ``(None, None)``."""
     with open(path, encoding="utf-8") as fh:
+        lineno, line = next(_lines(path, fh, meta), (0, None))
+        if line is None:
+            return None, None
+        head, width = check_header(lineno, line.split(",")), line.count(",") + 1
         try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if line[:1] in "#":  # blank, or a comment
-                    key, colon, value = line[1:].partition(":")
-                    if colon:
-                        meta[key.strip()] = _parse_meta_value(value)
-                    elif line:
-                        raise DatasetFormatError(path, lineno,
-                                                 "comment is not a `key: value` pair")
-                elif line.count(",") == commas:
-                    block.append(line)
-                    linenos.append(lineno)
-                    if len(block) * (commas + 1) >= _BLOCK_VALUES:
-                        flush()
-                elif commas < 0:
-                    head, commas = check_header(lineno, line.split(",")), line.count(",")
-                else:
-                    raise DatasetFormatError(
-                        path, lineno, f"expected {commas + 1} fields, got {line.count(',') + 1}")
-        except (ValueError, OSError):  # a bad line, or an unreadable or undecodable file
-            flush()  # a fault in the rows before this line comes first
-            raise
-        flush()
-    if commas < 0:
-        return None, None
-    return head, np.concatenate([np.empty((0, commas + 1)), *blocks])
+            with warnings.catch_warnings():  # an empty body warns
+                warnings.simplefilter("ignore")
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # includes an undecodable byte
+            pass
+        else:
+            if (rows.shape[1] == width and np.isfinite(rows).all()
+                    and not (row_test and row_test(rows).any())):
+                return head, rows
+        fh.seek(0)
+        lines, rows = _lines(path, fh, meta), []
+        next(lines)  # the header, already checked
+        for lineno, line in lines:
+            fields = line.split(",")
+            if len(fields) != width:
+                raise DatasetFormatError(path, lineno,
+                                         f"expected {width} fields, got {len(fields)}")
+            rows.append(_floats(path, lineno, fields, "field"))
+            if row_test and row_test(np.array(rows[-1:]))[0]:
+                raise DatasetFormatError(path, lineno, row_message)
+    return head, np.array(rows).reshape(-1, width)
 
 
 def read_dataset(path) -> DatasetFile:

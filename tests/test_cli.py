@@ -200,6 +200,17 @@ class TestMap:
         smap = read_map(out)
         assert smap.s21_mag.min() == pytest.approx(DIP_BLUE, rel=1e-6)
 
+    def test_scheme_override_takes_the_configured_pump_of_that_scheme(self, runner, tmp_path):
+        cfg = write_config(tmp_path, grid=self.small_grid(),
+                           cavity={"omega_c_hz": 6e9, "kappa_hz": 83e3, "kappa_ext_hz": 44e3},
+                           pumps=[{"scheme": "red", "n_cav": 1.3e6},
+                                  {"scheme": "blue", "n_cav": 3.4e5}])
+        out = tmp_path / "map.csv"
+        r = run(runner, ["--config", cfg, "--out", str(out), "map", "--scheme", "blue"])
+        assert r.exit_code == 0
+        assert "# n_cav: 340000.0\n" in out.read_text()
+        assert read_map(out).s21_mag.min() == pytest.approx(DIP_BLUE, rel=1e-6)
+
     def test_blue_supercritical_map_exits_3(self, runner, tmp_path):
         cfg = write_config(
             tmp_path, grid=self.small_grid(),
@@ -451,6 +462,8 @@ class TestErrorContract:
         write_config(tmp_path, "fit.json", fit={"bindings": [
             {"name": name, "mode": "free"} for name in ("kappa", "omega_c", "gamma_m")]})
         write_config(tmp_path, "points.json", grid={"points": 2001.0})
+        write_config(tmp_path, "many.json", pumps=[{"scheme": "red", "n_cav": 1.3e6}],
+                     grid={"points": 10 ** 12})
         write_config(tmp_path, "seed.json", pumps=[{"scheme": "red", "n_cav": 1.3e6}],
                      noise={"sigma": 0.01, "seed": 3.0})
         write_config(tmp_path, "note.json", pumps=[{"scheme": "red", "n_cav": 1.3e6}],
@@ -459,6 +472,9 @@ class TestErrorContract:
         (tmp_path / "huge.json").write_text(
             json.dumps(base_config(pumps=[{"scheme": "red", "n_cav": 0}]))
             .replace('"n_cav": 0', '"n_cav": 1' + "0" * 5000))
+        (tmp_path / "vast.json").write_text(
+            json.dumps(base_config(pumps=[{"scheme": "red", "n_cav": 0}], grid={"points": 0}))
+            .replace('"points": 0', '"points": 1' + "0" * 400))
         (tmp_path / "tiny.csv").write_text("\n".join([
             "# scheme: red", "# n_cav: 1.3e6", TRACE_HEADER,
             "5.9962e9,5.9962e9,0.56", "5.9963e9,5.9962e9,0.57"]) + "\n")
@@ -487,6 +503,12 @@ class TestErrorContract:
                      "string conversion: value has 5001 digits; use "
                      "sys.set_int_max_str_digits() to increase the limit",
                      id="config-int-over-4300-digits"),
+        pytest.param("--config many.json --out x.csv simulate", 2,
+                     "many.json: grid/points: 1000000000000 is greater than the maximum of "
+                     "1000000", id="config-points-over-maximum"),
+        pytest.param("--config vast.json --out x.csv simulate", 2,
+                     f"vast.json: grid/points: {10 ** 400} is greater than the maximum of "
+                     "1000000", id="config-points-1e400"),
         pytest.param("--config note.json --out x.csv simulate", 2,
                      "meta key 'note': cannot write a line break, or a ':' in a key",
                      id="value-meta-line-break"),
@@ -496,6 +518,8 @@ class TestErrorContract:
                      "--points must be >= 2", id="value-zero-points"),
         pytest.param("--config red.json --out x.csv simulate --points -3", 2,
                      "--points must be >= 2", id="value-negative-points"),
+        pytest.param("--config red.json --out x.csv simulate --points 1000000000000", 2,
+                     "--points must be <= 1000000", id="value-points-over-maximum"),
         pytest.param("--config base.json photons --power-w -1", 2,
                      "--power-w must be >= 0", id="value-negative-power"),
         pytest.param("--config base.json photons --power-dbm -116 --power-w 1e-12", 2,

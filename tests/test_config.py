@@ -58,6 +58,8 @@ def mutations(schema, value, loc=()):
             yield loc, arg - 1, False
             if key == "exclusiveMinimum":
                 yield loc, arg, False
+        elif key == "maximum":
+            yield loc, arg + 1, False
         elif key in ("minLength", "minItems"):
             yield loc, type(value)(), False
         elif key == "required":
@@ -183,8 +185,8 @@ def test_every_schema_keyword_is_implemented():
 
 
 def test_an_unimplemented_keyword_fails_loudly():
-    with pytest.raises(KeyError, match="maximum"):
-        list(config._violations(5, {"type": "integer", "maximum": 3}))
+    with pytest.raises(KeyError, match="exclusiveMaximum"):
+        list(config._violations(5, {"type": "integer", "exclusiveMaximum": 3}))
 
 
 @pytest.mark.parametrize("loc, value", [(("pumps", 0, "n_cav"), math.nan),

@@ -1,7 +1,8 @@
 """File-format and config tests: CSV round-trips at full precision, golden
 bytes (the vectorised writer against the block-`%` writer it replaced),
-line-numbered parse errors (the block reader against the line reader it
-replaced), report structure, atomic writes, and JSON config validation.
+line-numbered parse errors (the numpy-first reader, on both of its paths,
+against the line reader it replaced), report structure, atomic writes, and
+JSON config validation.
 """
 
 import itertools
@@ -204,9 +205,11 @@ class TestDatasetErrors:
             read_dataset(p)
 
     def test_no_rows(self, tmp_path):
+        # numpy warns on an empty body; the suite turns any warning into an error.
         p = self.write(tmp_path, "# scheme: red\n" + TRACE_HEADER + "\n")
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(DatasetFormatError) as err:
             read_dataset(p)
+        assert str(err.value) == f"{p}:0: no data rows"
 
 
 class TestMapRoundTrip:
@@ -420,7 +423,7 @@ def test_map_header_matches_percent_formatting(tmp_path, monkeypatch, block_valu
         assert (tmp_path / "ours").read_bytes() == (tmp_path / "ref").read_bytes()
 
 
-# The line-by-line reader the block reader replaced, kept as the reference for
+# The line-by-line reader that numpy parsing replaced, kept as the reference for
 # values, metadata and the first fault by line number.
 def ref_floats(path, lineno, fields, what):
     try:
@@ -576,18 +579,39 @@ def mutated_files(tmp_path, seed, count):
         yield kind, path
 
 
-@pytest.mark.parametrize("block_values", [datafiles._BLOCK_VALUES, 7])
-def test_block_reader_matches_line_reader(tmp_path, monkeypatch, block_values):
-    """2,400 seeded single- and multi-fault files, at the real block size and at
-    one that puts block edges inside every file: equal arrays, meta and errors."""
-    monkeypatch.setattr(datafiles, "_BLOCK_VALUES", block_values)
-    seen = set()
-    for kind, path in mutated_files(tmp_path, seed=block_values, count=2400):
+@pytest.fixture
+def walks(monkeypatch):
+    """A reader's outcome on a file, and the number of line walks the read made:
+    2 when the body was read again line by line, else 1."""
+    counts, real = [], datafiles._lines
+
+    def counted(*args):
+        counts[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(datafiles, "_lines", counted)
+
+    def read(reader, path):
+        counts.append(0)
+        return outcome(reader, path), counts[-1]
+    return read
+
+
+@pytest.mark.parametrize("seed", [4096, 7])
+def test_reader_matches_line_reader(tmp_path, walks, seed):
+    """2,400 seeded single- and multi-fault files: equal arrays, meta and errors,
+    and both the numpy path and the per-line path take part."""
+    seen, walked_paths = set(), set()
+    for kind, path in mutated_files(tmp_path, seed=seed, count=2400):
         ours, ref = ((read_dataset, ref_read_dataset) if kind == "trace"
                      else (read_map, ref_read_map))
         expect = outcome(ref, path)
-        assert outcome(ours, path) == expect, path.read_bytes()
+        got, walked = walks(ours, path)
+        assert got == expect, path.read_bytes()
         seen.add(re.sub(r"^.*?:\d+: ", "", expect[1]) if isinstance(expect[0], type) else "ok")
+        if walked == 2 or not isinstance(expect[0], type):  # per-line, or numpy's rows
+            walked_paths.add(walked)
+    assert walked_paths == {1, 2}
     # Every outcome the readers can give shows up in the corpus.
     for start in ["ok", "non-numeric field", "non-finite value", "s21_mag must be >= 0",
                   "expected 3 fields, got 2", "expected 3 fields, got 4",
@@ -598,8 +622,30 @@ def test_block_reader_matches_line_reader(tmp_path, monkeypatch, block_values):
         assert any(message.startswith(start) for message in seen), start
 
 
-class TestBlockEdges:
-    """Faults and comments placed against the real block boundaries."""
+def test_written_files_take_the_numpy_path(tmp_path, monkeypatch):
+    """Files as written read back without the per-line path, which alone parses
+    row fields one at a time."""
+    trace, smap = red_trace(points=801), TestMapRoundTrip().make_map()
+    write_dataset(tmp_path / "t.csv", DatasetFile.from_trace(trace))
+    write_map(tmp_path / "m.csv", smap)
+    real = datafiles._floats
+
+    def no_fields(path, lineno, fields, what):
+        assert what != "field", "a written file went down the per-line path"
+        return real(path, lineno, fields, what)
+
+    monkeypatch.setattr(datafiles, "_floats", no_fields)
+    assert np.allclose(read_dataset(tmp_path / "t.csv").s21_mag, trace.magnitude(),
+                       rtol=1e-12, atol=0)
+    assert np.allclose(read_map(tmp_path / "m.csv").s21_mag, smap.s21_mag, rtol=1e-12, atol=0)
+
+
+ROWS = 1415  # a long file: its rows span several 8 KiB decoder chunks
+
+
+class TestFaultOrder:
+    """Faults and comments far into long files, and bodies that only the
+    per-line path accepts."""
 
     def trace_file(self, tmp_path, rows, edits=()):
         lines = ["# scheme: red", TRACE_HEADER]
@@ -620,24 +666,29 @@ class TestBlockEdges:
         assert outcome(reader, path) == outcome(ref_read_dataset if reader is read_dataset
                                                 else ref_read_map, path)
 
+    def assert_per_line(self, walks, path):
+        """The file reads as the reference reads it, on the per-line path."""
+        got, walked = walks(read_dataset, path)
+        assert walked == 2
+        assert got == outcome(ref_read_dataset, path)
+        return read_dataset(path)
+
     def test_fault_in_the_second_block(self, tmp_path):
-        rows = datafiles._BLOCK_VALUES // 3 + 50
-        row = rows - 10 + 2  # a line of the second block
-        path = self.trace_file(tmp_path, rows, [(row, "1,2,oops")])
+        row = ROWS - 10 + 2  # a line far into the file
+        path = self.trace_file(tmp_path, ROWS, [(row, "1,2,oops")])
         self.assert_fault(path, read_dataset, row + 1, "non-numeric field")
 
     def test_first_fault_wins_across_blocks_and_kinds(self, tmp_path):
-        rows = datafiles._BLOCK_VALUES // 3 + 50
-        path = self.trace_file(tmp_path, rows, [(5, "1,2,-0.5"), (7, "1,2,x"),
-                                                (9, "1,2"), (rows, "1,2,nan")])
+        path = self.trace_file(tmp_path, ROWS, [(5, "1,2,-0.5"), (7, "1,2,x"),
+                                                (9, "1,2"), (ROWS, "1,2,nan")])
         self.assert_fault(path, read_dataset, 6, "s21_mag must be >= 0")
-        path = self.trace_file(tmp_path, rows, [(7, "1,2,inf"), (9, "1,2")])
+        path = self.trace_file(tmp_path, ROWS, [(7, "1,2,inf"), (9, "1,2")])
         self.assert_fault(path, read_dataset, 8, "non-finite value")
-        path = self.trace_file(tmp_path, rows, [(7, "1,2,inf"), (9, "# no colon")])
+        path = self.trace_file(tmp_path, ROWS, [(7, "1,2,inf"), (9, "# no colon")])
         self.assert_fault(path, read_dataset, 8, "non-finite value")
 
     def test_map_row_wider_than_one_block(self, tmp_path):
-        cols = datafiles._BLOCK_VALUES + 100
+        cols = datafiles._BLOCK_VALUES + 100  # one row takes more than a writer block
         smap = SweepMap(TWO_PI * np.array([1.0, 2.0, 3.0]), TWO_PI * np.arange(cols) + 1.0,
                         np.random.default_rng(3).random((3, cols)), {"scheme": "red"})
         path = tmp_path / "m.csv"
@@ -651,12 +702,11 @@ class TestBlockEdges:
         self.assert_fault(path, read_map, 4, "non-finite value")
 
     def test_comment_between_data_rows(self, tmp_path):
-        rows = datafiles._BLOCK_VALUES // 3 + 50
-        edge = datafiles._BLOCK_VALUES // 3 + 2
-        path = self.trace_file(tmp_path, rows, [(edge, "# a: 1"), (4, "# b: two"), (4, "#c:")])
+        path = self.trace_file(tmp_path, ROWS, [(ROWS // 2, "# a: 1"), (4, "# b: two"),
+                                                (4, "#c:")])
         back = read_dataset(path)
-        assert len(back.s21_mag) == rows
-        assert np.array_equal(back.probe_freq_hz, 6e9 + np.arange(rows))
+        assert len(back.s21_mag) == ROWS
+        assert np.array_equal(back.probe_freq_hz, 6e9 + np.arange(ROWS))
         assert back.meta == {"scheme": "red", "a": 1, "b": "two", "c": ""}
         assert outcome(read_dataset, path) == outcome(ref_read_dataset, path)
 
@@ -664,6 +714,21 @@ class TestBlockEdges:
         path = self.trace_file(tmp_path, 1000, [(3, "1,2,oops")])
         path.write_bytes(path.read_bytes() + b"1,2,\xff\n")
         self.assert_fault(path, read_dataset, 4, "non-numeric field")
+
+    def test_underscore_digits_read_as_float_reads_them(self, tmp_path, walks):
+        back = self.assert_per_line(walks, self.trace_file(tmp_path, 5, [(4, "1_0,2,0.5")]))
+        assert back.probe_freq_hz[2] == 10.0
+
+    def test_whitespace_only_line_between_rows_is_skipped(self, tmp_path, walks):
+        path = self.trace_file(tmp_path, 5)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines[:4], " \t ", *lines[4:]]) + "\n")
+        assert len(self.assert_per_line(walks, path).s21_mag) == 5
+
+    def test_meta_after_the_last_row(self, tmp_path, walks):
+        path = self.trace_file(tmp_path, 5)
+        path.write_text(path.read_text() + "# n_cav: 1300000.0\n")
+        assert self.assert_per_line(walks, path).meta == {"scheme": "red", "n_cav": 1.3e6}
 
 
 class TestAtomicWrite:
