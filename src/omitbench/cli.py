@@ -170,6 +170,17 @@ def _resolve_pumps(cfg: RunConfig, scheme, detuning_hz, ncav, power_dbm, power_w
                       "or a pumps entry in the config")
 
 
+def _finite(ctx, param, value):
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"{param.opts[0]} must be a finite number")
+    return value
+
+
+def _float_option(*decls, help):
+    """A float flag that rejects NaN and infinities, naming the flag."""
+    return click.option(*decls, type=float, default=None, callback=_finite, help=help)
+
+
 def _numbered(path: Path, index: int, count: int) -> Path:
     if count == 1:
         return path
@@ -190,18 +201,17 @@ def _numbered(path: Path, index: int, count: int) -> Path:
 @click.pass_context
 def main(ctx, config_path, seed, out, db):
     """Two-tone transmission workbench: simulate, map, fit, inspect."""
+    if seed is not None and seed < 0:
+        raise ValueError("--seed must be >= 0")
     ctx.obj = CliState(config_path=config_path, seed=seed, out=out, db=db)
 
 
 @main.command()
 @click.option("--scheme", type=click.Choice(["red", "blue"]), default=None,
               help="Pump scheme override.")
-@click.option("--detuning-hz", type=float, default=None,
-              help="Pump detuning (omega_d - omega_c)/2pi override.")
-@click.option("--ncav", type=float, default=None,
-              help="Pump strength as an intracavity photon number (0 = pump off).")
-@click.option("--power-dbm", type=float, default=None,
-              help="Pump strength as input power in dBm.")
+@_float_option("--detuning-hz", help="Pump detuning (omega_d - omega_c)/2pi override.")
+@_float_option("--ncav", help="Pump strength as an intracavity photon number (0 = pump off).")
+@_float_option("--power-dbm", help="Pump strength as input power in dBm.")
 @click.option("--points", type=int, default=None, help="Probe points override.")
 @click.option("--svg", "svg_path", type=click.Path(), default=None,
               help="Also render each trace to SVG.")
@@ -243,10 +253,8 @@ def simulate(state: CliState, scheme, detuning_hz, ncav, power_dbm, points,
 @main.command(name="map")
 @click.option("--scheme", type=click.Choice(["red", "blue"]), default=None,
               help="Pump scheme override.")
-@click.option("--ncav", type=float, default=None,
-              help="Photon number held fixed across detuning rows.")
-@click.option("--power-dbm", type=float, default=None,
-              help="Fixed input power; photon number recomputed per row.")
+@_float_option("--ncav", help="Photon number held fixed across detuning rows.")
+@_float_option("--power-dbm", help="Fixed input power; photon number recomputed per row.")
 @click.option("--svg", "svg_path", type=click.Path(), default=None,
               help="Also render the map to an SVG heatmap.")
 @click.pass_obj
@@ -371,10 +379,10 @@ def fit_cmd(state: CliState, datasets):
 
 
 @main.command()
-@click.option("--power-dbm", type=float, default=None, help="Pump power in dBm.")
-@click.option("--power-w", type=float, default=None, help="Pump power in watts.")
-@click.option("--detuning-hz", type=float, default=None,
-              help="Pump detuning in Hz (default: configured pump, else -omega_m).")
+@_float_option("--power-dbm", help="Pump power in dBm.")
+@_float_option("--power-w", help="Pump power in watts.")
+@_float_option("--detuning-hz",
+               help="Pump detuning in Hz (default: configured pump, else -omega_m).")
 @click.pass_obj
 def photons(state: CliState, power_dbm, power_w, detuning_hz):
     """Print the intracavity photon number and cooperativity for a pump."""
@@ -407,8 +415,8 @@ def linewidth(state: CliState, dataset):
 
 
 @main.command()
-@click.option("--dbm", type=float, default=None, help="Power in dBm to convert to W.")
-@click.option("--watts", type=float, default=None, help="Power in W to convert to dBm.")
+@_float_option("--dbm", help="Power in dBm to convert to W.")
+@_float_option("--watts", help="Power in W to convert to dBm.")
 def convert(dbm, watts):
     """Convert pump/probe power between dBm and watts."""
     if (dbm is None) == (watts is None):

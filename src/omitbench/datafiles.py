@@ -209,15 +209,13 @@ class DatasetFile:
         if "scheme" not in trace.meta:
             raise ValueError("trace meta must carry scheme")
         pump_hz = float(trace.meta["pump_freq_hz"])
-        if trace.axis == "offset":
-            probe_hz = pump_hz + trace.omega / TWO_PI
-        else:
-            probe_hz = trace.omega / TWO_PI
+        probe_hz = pump_hz + trace.omega / TWO_PI
         return cls(probe_hz, np.full(len(probe_hz), pump_hz), trace.magnitude(),
                    dict(trace.meta))
 
     def to_trace(self) -> SweepTrace:
-        """Absolute-axis magnitude trace (rad/s) with file metadata attached.
+        """Magnitude trace on the probe offset from the pump (rad/s), with
+        file metadata attached.
 
         Requires a single pump frequency across the file and strictly
         unique probe points; rows are sorted by probe frequency.
@@ -231,8 +229,8 @@ class DatasetFile:
             raise ValueError("duplicate probe frequencies in the file")
         meta = dict(self.meta)
         meta["pump_freq_hz"] = float(pump[0])
-        return SweepTrace(TWO_PI * probe, self.s21_mag[order], axis="absolute",
-                          meta=meta)
+        # Exact (Sterbenz) for probe and pump within a factor of 2: pump + offset is probe.
+        return SweepTrace(TWO_PI * probe - TWO_PI * pump[0], self.s21_mag[order], meta)
 
 
 def write_dataset(path, data: DatasetFile) -> None:

@@ -157,8 +157,7 @@ class FitDataset:
         if "pump_freq_hz" not in self.trace.meta:
             raise ValueError("trace meta must carry pump_freq_hz")
         self.omega_d = TWO_PI * float(self.trace.meta["pump_freq_hz"])
-        offset = self.omega_d if self.trace.axis == "offset" else 0.0
-        self.omega_p = np.asarray(offset + self.trace.omega, dtype=float)
+        self.omega_p = self.omega_d + self.trace.omega
         self.data = self.trace.magnitude()
 
     @property
@@ -174,6 +173,7 @@ class FitDataset:
             cav = CavityParams(p["omega_c"], p["kappa"], p["kappa_ext"])
             mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
             pump = PumpConfig(self.scheme, self.omega_d - p["omega_c"], n_cav=p["n_cav"])
+            # Not trace.omega: (W + g) - W != g for a simulated g; fits keep their bits.
             model = np.abs(probe_transmission(self.omega_p - self.omega_d, pump, cav, mech))
             res = model - self.data
         except (SingularDenominator, ValueError):
@@ -449,8 +449,7 @@ def extract_linewidth(trace: SweepTrace) -> float:
     n = len(power)
     k = max(3, n // 20)
     edge = np.concatenate([np.arange(k), np.arange(n - k, n)])
-    # Normalized abscissa keeps the polynomial fit conditioned on absolute
-    # frequency axes (~1e10 rad/s).
+    # Normalized abscissa keeps the quadratic edge fit well conditioned.
     x = (axis - axis[len(axis) // 2]) / max(axis[-1] - axis[0], 1e-30)
     coeffs = np.polyfit(x[edge], power[edge], 2)
     dev = power - np.polyval(coeffs, x)

@@ -86,11 +86,6 @@ class SingularDenominator(Exception):
     regime), where the steady-state formula is no longer meaningful.
     """
 
-    def __init__(self, message, omega=None, delta=None):
-        super().__init__(message)
-        self.omega = omega
-        self.delta = delta
-
 
 class PumpScheme(Enum):
     """Pump placement relative to the cavity: red (below) or blue (above)."""
@@ -105,8 +100,6 @@ class PumpScheme(Enum):
 
     @classmethod
     def parse(cls, value) -> "PumpScheme":
-        if isinstance(value, cls):
-            return value
         try:
             return cls(str(value).strip().lower())
         except ValueError:
@@ -200,7 +193,6 @@ class PumpConfig:
     p_in: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "scheme", PumpScheme.parse(self.scheme))
         if (self.n_cav is None) == (self.p_in is None):
             raise ValueError("specify exactly one of n_cav or p_in")
         if self.n_cav is not None and self.n_cav < 0:
@@ -314,9 +306,7 @@ def _blue_gate(pump: PumpConfig, cav: CavityParams, mech: MechanicalParams,
             raise SingularDenominator(
                 "blue pumping past the parametric instability "
                 f"(sideband-aligned cooperativity {c_loc:.6g} >= 1); "
-                "steady-state response is undefined",
-                delta=pump.delta,
-            )
+                "steady-state response is undefined")
 
 
 def probe_transmission(omega, pump: PumpConfig, cav: CavityParams,
@@ -364,8 +354,6 @@ def probe_transmission(omega, pump: PumpConfig, cav: CavityParams,
     if mag[c] < DENOMINATOR_GUARD:
         raise SingularDenominator(
             f"interference denominator |1 -/+ g0^2 n chi_c chi_m| = {mag[c]:.3e} "
-            f"< {DENOMINATOR_GUARD:g} at probe offset {omega[c] / TWO_PI:.6f} Hz",
-            omega=float(omega[c]), delta=float(pump.delta),
-        )
+            f"< {DENOMINATOR_GUARD:g} at probe offset {omega[c] / TWO_PI:.6f} Hz")
     s21 = 1.0 - 0.5 * cav.kappa_ext * chi_c / denom
     return complex(s21[0]) if scalar else s21

@@ -170,13 +170,11 @@ def render_line(trace: SweepTrace, db: bool = False) -> str:
     py = y0 + h - (y - ylo) / (yhi - ylo) * h
     points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
 
-    xlabel = "probe frequency (Hz)" if trace.axis == "absolute" \
-        else "probe offset (Hz)"
     ylabel = "|S21| (dB)" if db else "|S21|"
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="#ffffff"/>']
-    parts += _axis_svg(x0, y0, w, h, xlo, xhi, ylo, yhi, xlabel, ylabel)
+    parts += _axis_svg(x0, y0, w, h, xlo, xhi, ylo, yhi, "probe offset (Hz)", ylabel)
     parts.append(f'<polyline points="{points}" fill="none" stroke="#1f77b4" '
                  f'stroke-width="1.2"/>')
     title = str(trace.meta.get("scheme", ""))

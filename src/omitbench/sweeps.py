@@ -69,12 +69,9 @@ class SweepTrace:
     Attributes
     ----------
     omega : ndarray
-        Strictly increasing probe frequency axis (rad/s); probe offset from
-        the pump when ``axis == "offset"``, absolute when ``axis == "absolute"``.
+        Strictly increasing probe offset Omega = omega_p - omega_d (rad/s).
     s21 : ndarray
         Complex S21 samples, or real non-negative magnitudes.
-    axis : str
-        "offset" or "absolute".
     meta : dict
         Measurement metadata (temperature_mK, probe_power_dbm, pump
         descriptor, scheme, ...).
@@ -82,7 +79,6 @@ class SweepTrace:
 
     omega: np.ndarray
     s21: np.ndarray
-    axis: str = "offset"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -90,8 +86,6 @@ class SweepTrace:
         s21 = np.asarray(self.s21)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "s21", s21)
-        if self.axis not in ("offset", "absolute"):
-            raise ValueError("axis must be 'offset' or 'absolute'")
         if omega.ndim != 1 or len(omega) < 2:
             raise ValueError("omega must be a 1-D axis with at least 2 points")
         if not np.all(np.diff(omega) > 0):
@@ -204,7 +198,7 @@ def simulate_line_cut(pump: PumpConfig, cav: CavityParams, mech: MechanicalParam
     full_meta = _pump_meta(pump, cav, n_cav)
     if meta:
         full_meta.update(meta)
-    return SweepTrace(omega=omega_grid, s21=s21, axis="offset", meta=full_meta)
+    return SweepTrace(omega=omega_grid, s21=s21, meta=full_meta)
 
 
 def simulate_map(scheme: PumpScheme, cav: CavityParams, mech: MechanicalParams,
@@ -233,9 +227,7 @@ def simulate_map(scheme: PumpScheme, cav: CavityParams, mech: MechanicalParams,
             rows[r] = np.abs(probe_transmission(omega_grid, pump, cav, mech))
         except SingularDenominator as exc:
             raise SingularDenominator(
-                f"map row {r} (detuning {delta / TWO_PI:.6f} Hz): {exc}",
-                omega=exc.omega, delta=exc.delta,
-            ) from exc
+                f"map row {r} (detuning {delta / TWO_PI:.6f} Hz): {exc}") from exc
     full_meta = {"scheme": scheme.value}
     if n_cav is not None:
         full_meta["n_cav"] = float(n_cav)

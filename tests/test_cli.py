@@ -17,7 +17,15 @@ from click.testing import CliRunner
 
 from omitbench import __version__
 from omitbench.cli import main
-from omitbench.datafiles import TRACE_HEADER, read_dataset, read_map
+from omitbench.datafiles import (
+    TRACE_HEADER,
+    DatasetFile,
+    read_dataset,
+    read_map,
+    write_dataset,
+)
+from omitbench.model import TWO_PI, CavityParams, PumpConfig, PumpScheme, intracavity_photon_number
+from omitbench.sweeps import dbm_to_watts
 
 PEAK_RED = 0.7691294685725261       # kappa 84 kHz, kappa_ext 44 kHz, n 1.3e6
 DIP_BLUE = 0.2018060146738691       # kappa 83 kHz, kappa_ext 44 kHz, n 3.4e5
@@ -155,6 +163,27 @@ class TestSimulate:
         assert "dB" in rb.output and "dB" not in ra.output
         assert a.read_bytes() == b.read_bytes()
 
+    def test_db_flag_changes_the_line_plot_not_the_file(self, runner, tmp_path):
+        cfg = write_config(tmp_path,
+                           pumps=[{"scheme": "red", "n_cav": 1.3e6}])
+        for name, flags in (("lin", []), ("db", ["--db"])):
+            assert run(runner, ["--config", cfg, *flags, "--out", str(tmp_path / f"{name}.csv"),
+                                "simulate", "--svg", str(tmp_path / f"{name}.svg")]).exit_code == 0
+        assert (tmp_path / "lin.csv").read_bytes() == (tmp_path / "db.csv").read_bytes()
+        lin, db = (tmp_path / "lin.svg").read_text(), (tmp_path / "db.svg").read_text()
+        assert "|S21| (dB)" in db and "|S21| (dB)" not in lin
+        assert "probe offset (Hz)" in db and lin != db
+
+    def test_drive_flag_alone_keeps_the_configured_detuning(self, runner, tmp_path):
+        cfg = write_config(tmp_path,
+                           pumps=[{"scheme": "red", "n_cav": 1.3e6, "detuning_hz": -3.78e6}])
+        out = tmp_path / "drive.csv"
+        r = run(runner, ["--config", cfg, "--out", str(out), "simulate", "--ncav", "5e5"])
+        assert r.exit_code == 0
+        text = out.read_text()
+        assert "# pump_detuning_hz: -3780000.0\n" in text
+        assert "# n_cav: 500000.0\n" in text
+
 
 class TestMap:
     def small_grid(self):
@@ -231,6 +260,18 @@ class TestMap:
         assert "<svg" in body
         assert "data:image/png;base64," in body
 
+    def test_db_flag_changes_the_heatmap_not_the_file(self, runner, tmp_path):
+        cfg = write_config(tmp_path,
+                           pumps=[{"scheme": "red", "n_cav": 1.3e6}],
+                           grid=self.small_grid())
+        for name, flags in (("lin", []), ("db", ["--db"])):
+            assert run(runner, ["--config", cfg, *flags, "--out", str(tmp_path / f"{name}.csv"),
+                                "map", "--svg", str(tmp_path / f"{name}.svg")]).exit_code == 0
+        assert (tmp_path / "lin.csv").read_bytes() == (tmp_path / "db.csv").read_bytes()
+        lin, db = (tmp_path / "lin.svg").read_text(), (tmp_path / "db.svg").read_text()
+        assert 'fill="#333">dB</text>' in db and 'fill="#333">|S21|</text>' in lin
+        assert lin != db
+
     def test_map_determinism(self, runner, tmp_path):
         cfg = write_config(tmp_path,
                            pumps=[{"scheme": "red", "n_cav": 1.3e6}],
@@ -271,6 +312,46 @@ class TestFitCommand:
             84e3, rel=0.02)
         assert (tmp_path / "report_residuals.csv").exists()
         assert "converged=True" in r.output
+
+    def foreign_dataset(self, runner, tmp_path):
+        """README's "Converting foreign data": a file whose meta holds only
+        the scheme and the pump power, so the fit derives n_cav itself."""
+        gen = write_config(tmp_path, name="gen.json", noise={"sigma": 0.005, "seed": 4})
+        vendor = tmp_path / "vendor.csv"
+        assert run(runner, ["--config", gen, "--out", str(vendor), "simulate", "--scheme", "red",
+                            "--power-dbm", "-46.7", "--points", "2001"]).exit_code == 0
+        v = read_dataset(vendor)
+        out = tmp_path / "converted.csv"
+        write_dataset(out, DatasetFile(v.probe_freq_hz, v.pump_freq_hz, v.s21_mag,
+                                       {"scheme": "red", "pump_power_dbm": -46.7}))
+        return out, float(v.pump_freq_hz[0]) - 6e9
+
+    def test_fit_foreign_file_resolves_n_cav_from_pump_power(self, runner, tmp_path):
+        data, detuning_hz = self.foreign_dataset(runner, tmp_path)
+        cfg = write_config(tmp_path, fit={"bindings": [{"name": "kappa", "mode": "free"},
+                                                       {"name": "omega_c", "mode": "free"}]})
+        report = tmp_path / "report.json"
+        r = run(runner, ["--config", cfg, "--out", str(report), "fit", str(data)])
+        assert r.exit_code == 0, r.output
+        assert "converged=True" in r.output
+        n_fit = json.loads(report.read_text())["datasets"][0]["parameters"]["n_cav"]
+        assert n_fit == pytest.approx(1.3e6, rel=0.01)
+        pump = PumpConfig(PumpScheme.RED, TWO_PI * detuning_hz, p_in=dbm_to_watts(-46.7))
+        expect = intracavity_photon_number(pump, CavityParams.from_hz(6e9, 84e3, 44e3))
+        assert n_fit == pytest.approx(expect, rel=1e-9)
+        p = run(runner, ["--config", cfg, "photons", "--power-dbm", "-46.7",
+                         "--detuning-hz", repr(detuning_hz)])
+        assert p.output.startswith(f"n_cav = {n_fit:.6e}\n")
+
+    def test_fit_free_n_cav_prints_a_count(self, runner, tmp_path):
+        data, _ = self.foreign_dataset(runner, tmp_path)
+        cfg = write_config(tmp_path, fit={"bindings": [{"name": "n_cav", "mode": "free"},
+                                                       {"name": "omega_c", "mode": "free"}]})
+        r = run(runner, ["--config", cfg, "--out", str(tmp_path / "r.json"), "fit", str(data)])
+        assert r.exit_code == 0, r.output
+        line = next(x for x in r.output.splitlines() if x.startswith("  n_cav[0] = "))
+        assert re.fullmatch(r"  n_cav\[0\] = \S+ \+/- \S+", line)
+        assert "Hz" not in line
 
     def test_fit_on_penalty_plateau_exits_4(self, runner, tmp_path):
         # kappa starts below kappa_ext 44 kHz, where the model rejects the
@@ -527,6 +608,27 @@ class TestErrorContract:
                      id="value-two-powers"),
         pytest.param("convert --watts 0", 2,
                      "power must be positive to express in dBm", id="value-zero-watts"),
+        pytest.param("--config red.json simulate", 2,
+                     "this command needs --out <path>", id="config-no-out"),
+        pytest.param("--config base.json --out x.csv simulate --scheme red", 2,
+                     "no pump strength: give --ncav or --power-dbm or a pumps entry in the "
+                     "config", id="config-no-pump-strength"),
+        pytest.param("--config red.json --out x.csv simulate --ncav nan", 2,
+                     "--ncav must be a finite number", id="value-ncav-nan"),
+        pytest.param("--config red.json --out x.csv simulate --power-dbm inf", 2,
+                     "--power-dbm must be a finite number", id="value-power-dbm-inf"),
+        pytest.param("--config red.json --out x.csv simulate --detuning-hz nan", 2,
+                     "--detuning-hz must be a finite number", id="value-detuning-nan"),
+        pytest.param("--config red.json --out x.csv map --ncav nan", 2,
+                     "--ncav must be a finite number", id="value-map-ncav-nan"),
+        pytest.param("--config base.json photons --power-dbm nan", 2,
+                     "--power-dbm must be a finite number", id="value-photons-power-nan"),
+        pytest.param("convert --watts nan", 2,
+                     "--watts must be a finite number", id="value-watts-nan"),
+        pytest.param("convert --dbm inf", 2,
+                     "--dbm must be a finite number", id="value-dbm-inf"),
+        pytest.param("--seed -1 --config red.json --out x.csv simulate", 2,
+                     "--seed must be >= 0", id="value-negative-seed"),
         pytest.param("linewidth missing.csv", 2,
                      "[Errno 2] No such file or directory: 'missing.csv'",
                      id="os-missing-file"),

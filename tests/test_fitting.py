@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from omitbench import fitting
+from omitbench.datafiles import DatasetFile, read_dataset, write_dataset
 from omitbench.fitting import (
     FeatureNotFound,
     FitDataset,
@@ -403,18 +404,21 @@ class TestFit:
         assert result.dataset_params[0]["kappa"] == cav.kappa
         assert result.dataset_params[0]["n_cav"] == N_RED_MAX
 
-    def test_offset_and_absolute_axes_fit_identically(self):
+    def test_file_trace_keeps_the_absolute_probe_axis(self, tmp_path):
+        # Probe and pump within a factor of 2: probe - pump is exact (Sterbenz),
+        # so a file-driven fit sees the file's probe axis bit for bit.
         trace, cav, pump = make_trace(points=401)
-        absolute = SweepTrace(trace.omega + TWO_PI * trace.meta["pump_freq_hz"],
-                              trace.s21, axis="absolute", meta=trace.meta)
-        def problem_for(t):
-            b = fixed_bindings(cav, MECH, N_RED_MAX)
-            b["kappa"] = ParamBinding.free(
-                "kappa", 1.2 * cav.kappa, 0.3 * cav.kappa, 3 * cav.kappa)
-            return FitProblem([FitDataset(t, PumpScheme.RED, b)])
-        k_off = fit(problem_for(trace)).values["kappa[0]"]
-        k_abs = fit(problem_for(absolute)).values["kappa[0]"]
-        assert k_off == pytest.approx(k_abs, rel=1e-9)
+        path = tmp_path / "trace.csv"
+        write_dataset(path, DatasetFile.from_trace(trace))
+        data = read_dataset(path)
+        ds = FitDataset(data.to_trace(), PumpScheme.RED, fixed_bindings(cav, MECH, N_RED_MAX))
+        assert np.array_equal(ds.omega_p, TWO_PI * data.probe_freq_hz)
+        rng = np.random.default_rng(12)
+        for pump_hz in rng.uniform(1e8, 2e10, 50):
+            probe = np.sort(pump_hz * rng.uniform(0.6, 1.9, 64))
+            f = DatasetFile(probe, np.full(64, pump_hz), np.ones(64), {"scheme": "red"})
+            ds = FitDataset(f.to_trace(), PumpScheme.RED, fixed_bindings(cav, MECH, N_RED_MAX))
+            assert np.array_equal(ds.omega_p, TWO_PI * probe)
 
 
     @staticmethod

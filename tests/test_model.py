@@ -344,7 +344,6 @@ class TestTypes:
     def test_scheme_parse(self):
         assert PumpScheme.parse("red") is PumpScheme.RED
         assert PumpScheme.parse(" BLUE ") is PumpScheme.BLUE
-        assert PumpScheme.parse(PumpScheme.RED) is PumpScheme.RED
         with pytest.raises(ValueError):
             PumpScheme.parse("green")
 

@@ -8,6 +8,7 @@ own linewidth extraction.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -320,10 +321,10 @@ class TestMap:
         omega_grid = default_line_grid(blue_pump(n * 0.5), cav, MECH, points=51)
         delta_grid = default_delta_grid(PumpScheme.BLUE, cav, MECH, points=5)
         # Only the aligned middle row is past the threshold.
-        with pytest.raises(SingularDenominator, match=r"^map row 2 \(detuning ") as err:
+        row = re.escape(f"map row 2 (detuning {delta_grid[2] / TWO_PI:.6f} Hz): ")
+        with pytest.raises(SingularDenominator, match=f"^{row}blue pumping past"):
             simulate_map(PumpScheme.BLUE, cav, MECH, delta_grid, omega_grid,
                          n_cav=n)
-        assert err.value.delta == delta_grid[2]
 
     def test_guard_names_the_singular_row_and_probe_offset(self):
         # C = 1 - 1e-10 passes the instability gate, but on double resonance
@@ -332,10 +333,11 @@ class TestMap:
         n = (1.0 - 1e-10) * 83e3 * 15.3 / (4 * 0.56 ** 2)
         delta_grid = MECH.omega_m + np.array([-1.0, 0.0, 1.0]) * cav.kappa
         omega_grid = -MECH.omega_m + np.array([-1.0, 0.0, 1.0]) * MECH.gamma_m
+        row = re.escape(f"map row 1 (detuning {delta_grid[1] / TWO_PI:.6f} Hz): ")
+        offset = re.escape(f"at probe offset {omega_grid[1] / TWO_PI:.6f} Hz")
         with pytest.raises(SingularDenominator,
-                           match=r"^map row 1 \(detuning .*\): interference denominator") as err:
+                           match=f"^{row}interference denominator .*{offset}$"):
             simulate_map(PumpScheme.BLUE, cav, MECH, delta_grid, omega_grid, n_cav=n)
-        assert (err.value.delta, err.value.omega) == (delta_grid[1], omega_grid[1])
 
     def test_fixed_power_mode_varies_photons_per_row(self):
         cav = cav_hz(84e3)
