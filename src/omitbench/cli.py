@@ -162,7 +162,7 @@ def _resolve_pumps(cfg: RunConfig, scheme, detuning_hz, ncav, power_dbm, power_w
     if ncav is not None:
         return [PumpConfig(sch, delta, n_cav=ncav)]
     if given:
-        watts = dbm_to_watts(power_dbm) if power_dbm is not None else power_w
+        watts = dbm_to_watts(power_dbm, "--power-dbm") if power_dbm is not None else power_w
         return [PumpConfig(sch, delta, p_in=watts)]
     if base is not None:
         return [PumpConfig(sch, delta, n_cav=base.n_cav, p_in=base.p_in)]
@@ -310,8 +310,8 @@ def _file_n_cav(data: DatasetFile, cfg: RunConfig) -> float | None:
         return float(data.meta["n_cav"])
     if "pump_power_dbm" in data.meta:
         omega_d = TWO_PI * float(np.median(data.pump_freq_hz))
-        pump = PumpConfig(data.scheme, omega_d - cfg.cavity.omega_c,
-                          p_in=dbm_to_watts(float(data.meta["pump_power_dbm"])))
+        watts = dbm_to_watts(float(data.meta["pump_power_dbm"]), "pump_power_dbm")
+        pump = PumpConfig(data.scheme, omega_d - cfg.cavity.omega_c, p_in=watts)
         return intracavity_photon_number(pump, cfg.cavity)
     return None
 
@@ -422,7 +422,7 @@ def convert(dbm, watts):
     if (dbm is None) == (watts is None):
         raise ValueError("give exactly one of --dbm or --watts")
     if dbm is not None:
-        click.echo(f"{dbm_to_watts(dbm):.12e} W")
+        click.echo(f"{dbm_to_watts(dbm, '--dbm'):.12e} W")
     else:
         click.echo(f"{watts_to_dbm(watts):.12f} dBm")
 

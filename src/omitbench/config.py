@@ -234,7 +234,7 @@ def _build_pump(entry: dict, cfg_mech: MechanicalParams) -> PumpConfig:
             f"pump entry needs exactly one of n_cav, power_dbm, power_w; got {drives}")
     if drives[0] == "n_cav":
         return PumpConfig(scheme, delta, n_cav=float(entry["n_cav"]))
-    watts = dbm_to_watts(entry["power_dbm"]) if drives[0] == "power_dbm" \
+    watts = dbm_to_watts(entry["power_dbm"], "power_dbm") if drives[0] == "power_dbm" \
         else float(entry["power_w"])
     return PumpConfig(scheme, delta, p_in=watts)
 

@@ -210,6 +210,8 @@ class DatasetFile:
             raise ValueError("trace meta must carry scheme")
         pump_hz = float(trace.meta["pump_freq_hz"])
         probe_hz = pump_hz + trace.omega / TWO_PI
+        if np.any(np.diff(probe_hz) <= 0):
+            raise ValueError("duplicate probe frequencies in the file")
         return cls(probe_hz, np.full(len(probe_hz), pump_hz), trace.magnitude(),
                    dict(trace.meta))
 

@@ -5,9 +5,9 @@ datasets: a single mechanical frequency and linewidth can be tied across all
 traces taken at one temperature while cavity frequency and linewidth stay
 free per trace.  Residuals are magnitude differences; the optimizer is a
 Levenberg-Marquardt loop with a central-difference Jacobian (2 * sum over
-slots of |datasets(slot)| dataset evaluations), multiplicative damping
-control and bound projection.  Positive-definite rates (kappa, gamma_m,
-n_cav, g0) are optimized in log coordinates.
+slots of |datasets(slot)| evaluations, each reusing the susceptibility its
+column does not perturb), multiplicative damping and bound projection.
+Positive rates (kappa, gamma_m, n_cav, g0) are optimized in log coordinates.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .model import (
     PumpConfig,
     PumpScheme,
     SingularDenominator,
+    cavity_susceptibility,
+    mechanical_susceptibility,
     probe_transmission,
 )
 from .sweeps import SweepTrace
@@ -49,6 +51,9 @@ PARAM_NAMES = tuple(PARAM_UNITS)
 
 # Rates kept positive by optimizing their logarithm.
 LOG_PARAMS = frozenset({"kappa", "gamma_m", "n_cav", "g0"})
+
+# The susceptibility each parameter enters; its Jacobian column reuses the others.
+CHI_OF = {"omega_c": "chi_c", "kappa": "chi_c", "omega_m": "chi_m", "gamma_m": "chi_m"}
 
 # Residual value substituted when a trial point is singular/unphysical, large
 # against O(1) magnitude residuals but small enough to keep the normal
@@ -141,9 +146,9 @@ class FitDataset:
 
     ``bindings`` maps every name in ``PARAM_NAMES`` to its
     :class:`ParamBinding` (checked when the dataset joins a
-    :class:`FitProblem`).  ``omega_d`` (pump), ``omega_p`` (absolute probe
-    axis, rad/s) and ``data`` (|S21| samples) are derived from the trace on
-    construction.
+    :class:`FitProblem`).  ``omega_d`` (pump), ``offsets`` (``omega_p -
+    omega_d``, the kernel's grid, with ``omega_p`` the absolute probe axis in
+    rad/s) and ``data`` (|S21| samples) are derived from the trace.
     """
 
     trace: SweepTrace
@@ -157,24 +162,38 @@ class FitDataset:
         if "pump_freq_hz" not in self.trace.meta:
             raise ValueError("trace meta must carry pump_freq_hz")
         self.omega_d = TWO_PI * float(self.trace.meta["pump_freq_hz"])
-        self.omega_p = self.omega_d + self.trace.omega
+        # Not trace.omega: (W + g) - W != g for a simulated g; fits keep their bits.
+        self.offsets = self.omega_p - self.omega_d
         self.data = self.trace.magnitude()
+
+    @property
+    def omega_p(self) -> np.ndarray:
+        return self.omega_d + self.trace.omega
 
     @property
     def n_points(self) -> int:
         return len(self.data)
 
-    def residuals(self, p: dict[str, float]) -> np.ndarray:
+    def susceptibilities(self, p: dict[str, float]) -> dict[str, np.ndarray]:
+        """The kernel's ``chi_c`` and ``chi_m`` at ``p``; none if its mechanics are invalid."""
+        try:
+            mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
+        except ValueError:
+            return {}
+        delta = self.omega_d - p["omega_c"]
+        return {"chi_c": cavity_susceptibility(self.offsets, delta, p["kappa"]),
+                "chi_m": mechanical_susceptibility(self.offsets, mech, self.scheme)}
+
+    def residuals(self, p: dict[str, float], **chi) -> np.ndarray:
         """Residual |S21_model| - |S21_data| at the parameter set ``p`` (one
-        value per name in ``PARAM_NAMES``).  A singular or unphysical
-        parameter set gives the finite penalty value at every point instead
-        (see :func:`penalised`)."""
+        value per name in ``PARAM_NAMES``), given any of its susceptibilities
+        ``chi_c``/``chi_m``.  A singular or unphysical parameter set gives the
+        finite penalty value at every point instead (see :func:`penalised`)."""
         try:
             cav = CavityParams(p["omega_c"], p["kappa"], p["kappa_ext"])
             mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
             pump = PumpConfig(self.scheme, self.omega_d - p["omega_c"], n_cav=p["n_cav"])
-            # Not trace.omega: (W + g) - W != g for a simulated g; fits keep their bits.
-            model = np.abs(probe_transmission(self.omega_p - self.omega_d, pump, cav, mech))
+            model = np.abs(probe_transmission(self.offsets, pump, cav, mech, **chi))
             res = model - self.data
         except (SingularDenominator, ValueError):
             return np.full(self.n_points, PENALTY_RESIDUAL)
@@ -309,13 +328,17 @@ def _jacobian(problem, x):
     """Central-difference Jacobian with per-parameter relative steps.  Column
     j evaluates only the datasets that read slot j; its other rows are 0."""
     jac = np.zeros((problem.n_points, len(x)))
-    for j, unit in enumerate(np.eye(len(x))):
+    base = problem.dataset_values(_to_physical(x, problem._log_flags))
+    chis = [ds.susceptibilities(p) for ds, p in zip(problem.datasets, base)]
+    for j, (name, unit) in enumerate(zip(problem.slot_params, np.eye(len(x)))):
         h = max(JACOBIAN_REL_STEP * abs(x[j]), JACOBIAN_ABS_STEP)
-        plus, minus = (problem.dataset_values(_to_physical(xs, problem._log_flags))
+        plus, minus = (_to_physical(xs, problem._log_flags).tolist()[j]
                        for xs in (x + h * unit, x - h * unit))
         for i in problem._readers[j]:
+            chi = {k: v for k, v in chis[i].items() if k != CHI_OF.get(name)}
             res = problem.datasets[i].residuals
-            jac[problem._rows[i], j] = (res(plus[i]) - res(minus[i])) / (2.0 * h)
+            jac[problem._rows[i], j] = (res({**base[i], name: plus}, **chi)
+                                        - res({**base[i], name: minus}, **chi)) / (2.0 * h)
     return jac
 
 
@@ -329,9 +352,9 @@ def fit(problem: FitProblem) -> FitResult:
     iterations.  On hitting the cap, or when a dataset's residual at the
     returned point is the penalty, the best parameters so far are returned
     with ``converged=False``; ``termination`` names the reason.  The
-    Jacobian is evaluated once at the start and once after each accepted
-    step; the standard errors reuse the last.  Each Jacobian costs
-    2 * sum over slots of |datasets(slot)| dataset evaluations.
+    Jacobian and the normal equations are formed once at the start and once
+    after each accepted step; the standard errors reuse the last.  Each Jacobian
+    costs 2 * sum over slots of |datasets(slot)| dataset evaluations.
 
     Raises
     ------
@@ -357,11 +380,10 @@ def fit(problem: FitProblem) -> FitResult:
                    "zero_residual" if rnorm == 0.0 else None)
     # Invariant: jac is J(x) for the current x.
     jac = _jacobian(problem, x)
+    a, g = jac.T @ jac, jac.T @ r
 
     while termination is None and iterations < MAX_ITERATIONS:
         iterations += 1
-        a = jac.T @ jac
-        g = jac.T @ r
         diag = np.diag(a).copy()
         diag[diag <= 0] = 1.0
         try:
@@ -382,6 +404,7 @@ def fit(problem: FitProblem) -> FitResult:
             history.append(rnorm)
             lam /= DAMPING_FACTOR
             jac = _jacobian(problem, x)
+            a, g = jac.T @ jac, jac.T @ r
             termination = ("reduction_tol" if drop < REL_REDUCTION_TOL else
                            "step_tol" if step_rel < REL_STEP_TOL else
                            "zero_residual" if rnorm == 0.0 else None)
@@ -396,7 +419,7 @@ def fit(problem: FitProblem) -> FitResult:
         termination = "penalty"
     converged = termination not in (None, "penalty")
     values_phys = _to_physical(x, log_flags)
-    stderr_phys = _uncertainties(jac, rnorm, values_phys, log_flags)
+    stderr_phys = _uncertainties(jac, a, rnorm, values_phys, log_flags)
     return FitResult(
         values=dict(zip(problem.slot_names, values_phys.tolist())),
         stderr=dict(zip(problem.slot_names, stderr_phys.tolist())),
@@ -409,10 +432,10 @@ def fit(problem: FitProblem) -> FitResult:
     )
 
 
-def _uncertainties(jac, rnorm, values_phys, log_flags):
+def _uncertainties(jac, a, rnorm, values_phys, log_flags):
     n_pts, n_par = jac.shape
     s2 = rnorm ** 2 / (n_pts - n_par) if n_pts > n_par else math.nan
-    cov = np.linalg.pinv(jac.T @ jac) * s2
+    cov = np.linalg.pinv(a) * s2
     sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     sig[~np.any(jac, axis=0)] = math.nan
     # Delta method back to physical units for log-coordinate slots.

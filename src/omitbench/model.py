@@ -310,7 +310,7 @@ def _blue_gate(pump: PumpConfig, cav: CavityParams, mech: MechanicalParams,
 
 
 def probe_transmission(omega, pump: PumpConfig, cav: CavityParams,
-                       mech: MechanicalParams):
+                       mech: MechanicalParams, *, chi_c=None, chi_m=None):
     """Complex probe transmission S21 at probe offset(s) ``omega``.
 
     S21 = 1 - (kappa_ext/2) chi_c / (1 -/+ g0^2 n_cav chi_c chi_m), evaluated
@@ -325,6 +325,8 @@ def probe_transmission(omega, pump: PumpConfig, cav: CavityParams,
     pump : PumpConfig
     cav : CavityParams
     mech : MechanicalParams
+    chi_c, chi_m : ndarray, optional
+        Susceptibilities already computed on ``omega`` from these parameters.
 
     Returns
     -------
@@ -346,8 +348,8 @@ def probe_transmission(omega, pump: PumpConfig, cav: CavityParams,
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if omega.size == 0:
         raise ValueError("empty probe grid: need at least one probe offset omega")
-    chi_c = cavity_susceptibility(omega, pump.delta, cav.kappa)
-    chi_m = mechanical_susceptibility(omega, mech, pump.scheme)
+    chi_c = cavity_susceptibility(omega, pump.delta, cav.kappa) if chi_c is None else chi_c
+    chi_m = mechanical_susceptibility(omega, mech, pump.scheme) if chi_m is None else chi_m
     denom = 1.0 - pump.scheme.sign * (mech.g0 ** 2) * n_cav * chi_c * chi_m
     mag = np.abs(denom)
     c = int(np.argmin(mag))

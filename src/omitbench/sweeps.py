@@ -131,9 +131,12 @@ class SweepMap:
             raise ValueError("map entries must be finite")
 
 
-def dbm_to_watts(p_dbm: float) -> float:
-    """Power in watts for a level in dBm (0 dBm = 1 mW)."""
-    return 10.0 ** (p_dbm / 10.0) * 1e-3
+def dbm_to_watts(p_dbm: float, name: str = "power") -> float:
+    """Power in watts for a level in dBm (0 dBm = 1 mW); an error calls it ``name``."""
+    try:
+        return 10.0 ** (p_dbm / 10.0) * 1e-3
+    except OverflowError:
+        raise ValueError(f"{name} {p_dbm:g} dBm is too large to express in watts") from None
 
 
 def watts_to_dbm(p_watts: float) -> float:
@@ -168,6 +171,8 @@ def default_line_grid(pump: PumpConfig, cav: CavityParams, mech: MechanicalParam
     scale = max(abs(g_eff), mech.gamma_m * 0.05)
     center = -pump.scheme.sign * mech.omega_m
     half = half_width_gamma_eff * scale
+    if not math.isfinite(half):
+        raise ValueError(f"n_cav {n_cav:g} gives a probe span that is not finite")
     return np.linspace(center - half, center + half, points)
 
 

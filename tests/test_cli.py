@@ -549,6 +549,7 @@ class TestErrorContract:
                      noise={"sigma": 0.01, "seed": 3.0})
         write_config(tmp_path, "note.json", pumps=[{"scheme": "red", "n_cav": 1.3e6}],
                      meta={"note": "line one\nline two"})
+        write_config(tmp_path, "loud.json", pumps=[{"scheme": "red", "power_dbm": 1e6}])
         # json.dumps cannot print a 5,001-digit integer, so it is spliced in.
         (tmp_path / "huge.json").write_text(
             json.dumps(base_config(pumps=[{"scheme": "red", "n_cav": 0}]))
@@ -559,6 +560,8 @@ class TestErrorContract:
         (tmp_path / "tiny.csv").write_text("\n".join([
             "# scheme: red", "# n_cav: 1.3e6", TRACE_HEADER,
             "5.9962e9,5.9962e9,0.56", "5.9963e9,5.9962e9,0.57"]) + "\n")
+        (tmp_path / "loud.csv").write_text(
+            (tmp_path / "tiny.csv").read_text().replace("n_cav: 1.3e6", "pump_power_dbm: 1e6"))
         for args in (["--config", "red.json", "--out", "red.csv", "simulate"],
                      ["--config", "base.json", "--out", "bare.csv", "simulate",
                       "--scheme", "red", "--ncav", "0", "--points", "2001"]):
@@ -627,6 +630,25 @@ class TestErrorContract:
                      "--watts must be a finite number", id="value-watts-nan"),
         pytest.param("convert --dbm inf", 2,
                      "--dbm must be a finite number", id="value-dbm-inf"),
+        pytest.param("convert --dbm 1e6", 2,
+                     "--dbm 1e+06 dBm is too large to express in watts", id="value-dbm-overflow"),
+        pytest.param("--config base.json photons --power-dbm 1e6", 2,
+                     "--power-dbm 1e+06 dBm is too large to express in watts",
+                     id="value-photons-power-dbm-overflow"),
+        pytest.param("--config red.json --out x.csv simulate --power-dbm 1e6", 2,
+                     "--power-dbm 1e+06 dBm is too large to express in watts",
+                     id="value-simulate-power-dbm-overflow"),
+        pytest.param("--config loud.json --out x.csv simulate", 2,
+                     "loud.json: power_dbm 1e+06 dBm is too large to express in watts",
+                     id="config-power-dbm-overflow"),
+        pytest.param("--config fit.json fit loud.csv", 2,
+                     "pump_power_dbm 1e+06 dBm is too large to express in watts",
+                     id="file-pump-power-dbm-overflow"),
+        pytest.param("--config red.json --out x.csv simulate --detuning-hz 1e30", 2,
+                     "duplicate probe frequencies in the file", id="value-detuning-swamps-probe"),
+        pytest.param("--config red.json --out x.csv simulate --ncav 1e308", 2,
+                     "n_cav 1e+308 gives a probe span that is not finite",
+                     id="value-ncav-span-overflow"),
         pytest.param("--seed -1 --config red.json --out x.csv simulate", 2,
                      "--seed must be >= 0", id="value-negative-seed"),
         pytest.param("linewidth missing.csv", 2,

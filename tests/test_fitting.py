@@ -3,10 +3,13 @@ extraction, all validated by round-trips against the sweep
 generator rather than against any external fitter.
 """
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from omitbench import fitting
+from omitbench import fitting, model
 from omitbench.datafiles import DatasetFile, read_dataset, write_dataset
 from omitbench.fitting import (
     FeatureNotFound,
@@ -386,9 +389,9 @@ class TestFit:
         calls = []
         inner = FitDataset.residuals
 
-        def counted(ds, p):
+        def counted(ds, p, **chi):
             calls.append(ds)
-            return inner(ds, p)
+            return inner(ds, p, **chi)
 
         monkeypatch.setattr(FitDataset, "residuals", counted)
         result = fit(prob)
@@ -479,9 +482,9 @@ class TestSparseJacobian:
         calls = []
         inner = FitDataset.residuals
 
-        def counted(ds, p):
+        def counted(ds, p, **chi):
             calls.append(ds)
-            return inner(ds, p)
+            return inner(ds, p, **chi)
 
         monkeypatch.setattr(FitDataset, "residuals", counted)
         fitting._jacobian(prob, internal_start(prob))
@@ -510,6 +513,58 @@ class TestSparseJacobian:
                                                         prob._log_flags))
         assert fitting.penalised(prob.datasets[0].residuals(plus[0]))
         assert np.array_equal(fitting._jacobian(prob, x), dense_jacobian(prob, x))
+
+    def test_computes_each_susceptibility_once_per_reuse(self, monkeypatch):
+        # Each dataset computes chi_c and chi_m once at x.  A column for
+        # omega_c or kappa (12 slots, 1 reader each) reuses chi_m; one for
+        # omega_m or gamma_m (6 slots, 2 readers each) reuses chi_c.  So each
+        # susceptibility is computed 6 + 2 * 12 = 30 times, not once per
+        # dataset evaluation (48).
+        prob = joint_six_problem()
+        counts = Counter()
+        for name in ("cavity_susceptibility", "mechanical_susceptibility"):
+            def counted(*args, _name=name, _inner=getattr(model, name)):
+                counts[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(model, name, counted)
+            monkeypatch.setattr(fitting, name, counted)
+        fitting._jacobian(prob, internal_start(prob))
+        assert counts == {"cavity_susceptibility": 30, "mechanical_susceptibility": 30}
+
+    def test_equals_dense_with_columns_that_reuse_both_susceptibilities(self):
+        # kappa_ext, g0 and n_cav enter neither chi_c nor chi_m.  Blue trace 1
+        # starts half a Jacobian step below the largest photon number its
+        # blue gate accepts, so at +h in n_cav the model rejects it.
+        prob = joint_six_problem()
+        red, blue = prob.datasets[:2]
+        p = prob.dataset_values(prob.init_values)[1]
+        accepted, rejected = 1e5, 1e7
+        for _ in range(100):
+            mid = math.sqrt(accepted * rejected)
+            if fitting.penalised(blue.residuals({**p, "n_cav": mid})):
+                rejected = mid
+            else:
+                accepted = mid
+        n0 = accepted * math.exp(-0.5 * fitting.JACOBIAN_REL_STEP * math.log(accepted))
+
+        def free(b, name, init):
+            return {**b, name: ParamBinding.free(name, init, 0.5 * init, 1.5 * init)}
+
+        b_red = free(free(red.bindings, "kappa_ext", p["kappa_ext"]), "g0", p["g0"])
+        b_blue = free(free(blue.bindings, "kappa_ext", p["kappa_ext"]), "n_cav", n0)
+        prob = FitProblem([FitDataset(red.trace, red.scheme, b_red),
+                           FitDataset(blue.trace, blue.scheme, b_blue)] + prob.datasets[2:])
+        x = internal_start(prob)
+        j = prob.slot_names.index("n_cav[1]")
+        h = fitting.JACOBIAN_REL_STEP * abs(x[j])
+        for sign, rejects in ((0, False), (-1, False), (1, True)):
+            at = prob.dataset_values(fitting._to_physical(x + sign * h * np.eye(len(x))[j],
+                                                          prob._log_flags))
+            assert fitting.penalised(prob.datasets[1].residuals(at[1])) is rejects
+        jac = fitting._jacobian(prob, x)
+        assert np.any(jac[:, j])
+        assert np.array_equal(jac, dense_jacobian(prob, x))
 
     def test_stderr_nan_for_a_slot_its_only_reader_ignores(self):
         # Trace 1 has the pump off, so its free g0 moves nothing; gamma_m is
