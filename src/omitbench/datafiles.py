@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .fitting import penalised
 from .model import PARAM_UNITS, TWO_PI, PumpScheme, param_to_hz
 from .sweeps import SweepMap, SweepTrace
 
@@ -210,7 +209,8 @@ class DatasetFile:
             raise ValueError("trace meta must carry scheme")
         pump_hz = float(trace.meta["pump_freq_hz"])
         probe_hz = pump_hz + trace.omega / TWO_PI
-        if np.any(np.diff(probe_hz) <= 0):
+        # Each step must exceed the 13-digit quantum of the largest |probe|, or rows merge.
+        if np.any(np.diff(probe_hz) <= 10.0 ** (np.floor(np.log10(np.abs(probe_hz).max())) - 12)):
             raise ValueError("duplicate probe frequencies in the file")
         return cls(probe_hz, np.full(len(probe_hz), pump_hz), trace.magnitude(),
                    dict(trace.meta))
@@ -401,15 +401,12 @@ def write_fit_report(path, result, problem, dataset_paths) -> None:
 
 
 def write_residual_csv(path, problem, result) -> None:
-    """Per-point residual table for all datasets of a fitted problem.  A
-    dataset whose fitted parameters the model rejects has no model values:
-    its ``s21_model`` and ``residual`` columns are ``nan``."""
-    columns = []
-    for i, (ds, params) in enumerate(zip(problem.datasets, result.dataset_params)):
-        raw = ds.residuals(params)
-        if penalised(raw):
-            raw = np.full(ds.n_points, math.nan)
-        columns.append((np.full(ds.n_points, i), ds.omega_p / TWO_PI, ds.data,
-                        ds.data + raw, raw))
+    """Per-point table of the fit's own residuals for all datasets of a fitted
+    problem.  A dataset whose fitted parameters the model rejects has no model
+    values: its ``s21_model`` and ``residual`` columns are ``nan``."""
+    datasets = problem.datasets
+    data = np.concatenate([ds.data for ds in datasets])
     _write_csv(path, {}, "dataset,probe_freq_hz,s21_data,s21_model,residual",
-               map(np.concatenate, zip(*columns)))
+               (np.repeat(np.arange(len(datasets)), [ds.n_points for ds in datasets]),
+                np.concatenate([ds.omega_p for ds in datasets]) / TWO_PI,
+                data, data + result.residuals, result.residuals))

@@ -13,7 +13,7 @@ Positive rates (kappa, gamma_m, n_cav, g0) are optimized in log coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "FitProblem",
     "FitResult",
     "residuals",
-    "penalised",
     "fit",
     "extract_linewidth",
 ]
@@ -146,29 +145,28 @@ class FitDataset:
 
     ``bindings`` maps every name in ``PARAM_NAMES`` to its
     :class:`ParamBinding` (checked when the dataset joins a
-    :class:`FitProblem`).  ``omega_d`` (pump), ``offsets`` (``omega_p -
-    omega_d``, the kernel's grid, with ``omega_p`` the absolute probe axis in
-    rad/s) and ``data`` (|S21| samples) are derived from the trace.
+    :class:`FitProblem`).  Of the trace only ``omega_d`` (pump), ``offsets``
+    (its ``omega_p - omega_d``, the kernel's grid, with ``omega_p`` the absolute
+    probe axis in rad/s) and ``data`` (|S21| samples) are kept.
     """
 
-    trace: SweepTrace
+    trace: InitVar[SweepTrace]
     scheme: PumpScheme
     bindings: dict[str, ParamBinding]
 
-    def __post_init__(self):
+    def __post_init__(self, trace):
         for name, b in self.bindings.items():
             if b.name != name:
                 raise ValueError(f"binding key {name!r} does not match binding name {b.name!r}")
-        if "pump_freq_hz" not in self.trace.meta:
+        if "pump_freq_hz" not in trace.meta:
             raise ValueError("trace meta must carry pump_freq_hz")
-        self.omega_d = TWO_PI * float(self.trace.meta["pump_freq_hz"])
-        # Not trace.omega: (W + g) - W != g for a simulated g; fits keep their bits.
-        self.offsets = self.omega_p - self.omega_d
-        self.data = self.trace.magnitude()
+        self.omega_d = TWO_PI * float(trace.meta["pump_freq_hz"])
+        self.offsets = trace.omega
+        self.data = trace.magnitude()
 
     @property
     def omega_p(self) -> np.ndarray:
-        return self.omega_d + self.trace.omega
+        return self.omega_d + self.offsets
 
     @property
     def n_points(self) -> int:
@@ -188,7 +186,7 @@ class FitDataset:
         """Residual |S21_model| - |S21_data| at the parameter set ``p`` (one
         value per name in ``PARAM_NAMES``), given any of its susceptibilities
         ``chi_c``/``chi_m``.  A singular or unphysical parameter set gives the
-        finite penalty value at every point instead (see :func:`penalised`)."""
+        finite penalty value at every point instead."""
         try:
             cav = CavityParams(p["omega_c"], p["kappa"], p["kappa_ext"])
             mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
@@ -202,12 +200,6 @@ class FitDataset:
         # Guard: a trial evaluation must never leak a non-finite residual.
         return np.nan_to_num(res, nan=PENALTY_RESIDUAL,
                              posinf=PENALTY_RESIDUAL, neginf=-PENALTY_RESIDUAL)
-
-
-def penalised(res: np.ndarray) -> bool:
-    """True if a dataset residual is the penalty, i.e. the model rejected the
-    parameter set it was evaluated at."""
-    return bool(np.all(res == PENALTY_RESIDUAL))
 
 
 class FitProblem:
@@ -299,7 +291,8 @@ class FitResult:
     ``reduction_tol`` or ``step_tol`` (a relative tolerance was met),
     ``zero_residual``, ``no_free_parameters``, ``iteration_cap``, or
     ``penalty`` (the model rejects a dataset at the returned point).
-    ``converged`` is false for the last two.
+    ``converged`` is false for the last two.  ``residuals`` is the stacked
+    residual vector at the returned point, NaN over each rejected dataset.
     """
 
     values: dict[str, float]
@@ -308,6 +301,7 @@ class FitResult:
     iterations: int
     converged: bool
     termination: str
+    residuals: np.ndarray
     cost_history: list[float] = field(default_factory=list)
     dataset_params: list[dict[str, float]] = field(default_factory=list)
 
@@ -415,8 +409,9 @@ def fit(problem: FitProblem) -> FitResult:
 
     # A dataset the model rejects at x gives a flat penalty with a zero
     # Jacobian, so the loop stops there without having fitted anything.
-    if any(penalised(r[rows]) for rows in problem._rows):
-        termination = "penalty"
+    for rows in problem._rows:
+        if np.all(r[rows] == PENALTY_RESIDUAL):
+            r[rows], termination = math.nan, "penalty"
     converged = termination not in (None, "penalty")
     values_phys = _to_physical(x, log_flags)
     stderr_phys = _uncertainties(jac, a, rnorm, values_phys, log_flags)
@@ -427,6 +422,7 @@ def fit(problem: FitProblem) -> FitResult:
         iterations=iterations,
         converged=converged,
         termination=termination or "iteration_cap",
+        residuals=r,
         cost_history=history,
         dataset_params=problem.dataset_values(values_phys),
     )

@@ -163,7 +163,7 @@ def default_line_grid(pump: PumpConfig, cav: CavityParams, mech: MechanicalParam
     Spans +/- ``half_width_gamma_eff`` effective linewidths around the
     sideband at Omega = -sign * omega_m (red: +omega_m, blue: -omega_m); the
     width is floored at the bare gamma_m so a quenched blue feature is still
-    resolved.
+    resolved.  A window that reaches the pump (half-width >= omega_m) is an error.
     """
     n_cav = intracavity_photon_number(pump, cav)
     coop = cooperativity(mech.g0, n_cav, cav.kappa, mech.gamma_m)
@@ -171,8 +171,8 @@ def default_line_grid(pump: PumpConfig, cav: CavityParams, mech: MechanicalParam
     scale = max(abs(g_eff), mech.gamma_m * 0.05)
     center = -pump.scheme.sign * mech.omega_m
     half = half_width_gamma_eff * scale
-    if not math.isfinite(half):
-        raise ValueError(f"n_cav {n_cav:g} gives a probe span that is not finite")
+    if not half < mech.omega_m:  # also rejects inf and nan
+        raise ValueError(f"n_cav {n_cav:g}: probe window +/- {half / TWO_PI:g} Hz reaches the pump")
     return np.linspace(center - half, center + half, points)
 
 

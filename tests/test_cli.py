@@ -560,6 +560,9 @@ class TestErrorContract:
         (tmp_path / "tiny.csv").write_text("\n".join([
             "# scheme: red", "# n_cav: 1.3e6", TRACE_HEADER,
             "5.9962e9,5.9962e9,0.56", "5.9963e9,5.9962e9,0.57"]) + "\n")
+        write_config(tmp_path, "ncav.json", fit={"bindings": [{"name": "n_cav", "mode": "free"}]})
+        (tmp_path / "undriven.csv").write_text(
+            (tmp_path / "tiny.csv").read_text().replace("# n_cav: 1.3e6\n", ""))
         (tmp_path / "loud.csv").write_text(
             (tmp_path / "tiny.csv").read_text().replace("n_cav: 1.3e6", "pump_power_dbm: 1e6"))
         for args in (["--config", "red.json", "--out", "red.csv", "simulate"],
@@ -646,9 +649,19 @@ class TestErrorContract:
                      id="file-pump-power-dbm-overflow"),
         pytest.param("--config red.json --out x.csv simulate --detuning-hz 1e30", 2,
                      "duplicate probe frequencies in the file", id="value-detuning-swamps-probe"),
+        pytest.param("--config red.json --out x.csv simulate --points 2001 --detuning-hz 1e14",
+                     2, "duplicate probe frequencies in the file", id="value-detuning-1e14"),
+        pytest.param("--config red.json --out x.csv simulate --points 2001 --detuning-hz 1e12",
+                     2, "duplicate probe frequencies in the file", id="value-detuning-1e12"),
         pytest.param("--config red.json --out x.csv simulate --ncav 1e308", 2,
-                     "n_cav 1e+308 gives a probe span that is not finite",
+                     "n_cav 1e+308: probe window +/- inf Hz reaches the pump",
                      id="value-ncav-span-overflow"),
+        pytest.param("--config red.json --out x.csv simulate --ncav 1e300", 2,
+                     "n_cav 1e+300: probe window +/- 3.73333e+296 Hz reaches the pump",
+                     id="value-simulate-ncav-window-reaches-pump"),
+        pytest.param("--config red.json --out x.csv map --ncav 1e300", 2,
+                     "n_cav 1e+300: probe window +/- 3.73333e+296 Hz reaches the pump",
+                     id="value-map-ncav-window-reaches-pump"),
         pytest.param("--seed -1 --config red.json --out x.csv simulate", 2,
                      "--seed must be >= 0", id="value-negative-seed"),
         pytest.param("linewidth missing.csv", 2,
@@ -659,6 +672,13 @@ class TestErrorContract:
         pytest.param("--config blue.json --out x.csv map", 3,
                      SINGULAR_BLUE + "map row 2 (detuning 3800000.000000 Hz): "
                      + PAST_THRESHOLD, id="singular-map"),
+        pytest.param("--config ncav.json fit undriven.csv", 2,
+                     "binding n_cav: no init value available", id="config-binding-no-init"),
+        pytest.param("--config blue.json --out x.csv map --power-dbm -46", 3,
+                     "singular response at scheme=blue, detuning_hz=3.8e+06, "
+                     "p_in=2.51189e-08 W: map row 2 (detuning 3800000.000000 Hz): blue pumping "
+                     "past the parametric instability (sideband-aligned cooperativity 1.49419 "
+                     ">= 1); steady-state response is undefined", id="singular-map-power"),
         pytest.param("--config fit.json fit tiny.csv", 5,
                      "2 data points for 3 adjustable parameters", id="insufficient-data"),
         pytest.param("linewidth bare.csv", 6,

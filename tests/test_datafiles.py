@@ -43,6 +43,7 @@ from omitbench.model import (
 from omitbench.sweeps import (
     NoiseSpec,
     SweepMap,
+    SweepTrace,
     add_noise,
     default_delta_grid,
     default_line_grid,
@@ -136,6 +137,30 @@ class TestDatasetRoundTrip:
                            meta={"pump_freq_hz": 5.9962e9})
         with pytest.raises(ValueError):
             DatasetFile.from_trace(bare)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: DatasetFile(np.ones(3), np.ones(2), np.ones(3)),
+         "columns must have equal length"),
+        (lambda: DatasetFile.from_trace(SweepTrace(np.array([0.0, 1.0]), np.ones(2),
+                                                   {"scheme": "red"})),
+         "trace meta must carry pump_freq_hz"),
+    ], ids=["unequal-columns", "from-trace-without-pump"])
+    def test_rejects_bad_input(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    @pytest.mark.parametrize("step_hz, merges", [(1.0, True), (1.01, False)])
+    def test_from_trace_rejects_steps_13_digits_cannot_tell_apart(self, tmp_path, step_hz,
+                                                                  merges):
+        # Near 1e12 Hz, 13 significant digits print whole hertz.
+        trace = SweepTrace(TWO_PI * step_hz * np.arange(5), np.ones(5),
+                           {"scheme": "red", "pump_freq_hz": 1.5e12})
+        if merges:
+            with pytest.raises(ValueError, match="^duplicate probe frequencies in the file$"):
+                DatasetFile.from_trace(trace)
+        else:
+            write_dataset(tmp_path / "t.csv", DatasetFile.from_trace(trace))
+            assert len(read_dataset(tmp_path / "t.csv").to_trace().omega) == 5
 
     def test_written_floats_carry_13_significant_digits(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -96,6 +96,19 @@ class TestBindings:
         with pytest.raises(ValueError):
             ParamBinding("gamma_m", "free", 1.0, lo=0.0, hi=2.0)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ParamBinding("kappa", "tied", 1.0), "unknown binding mode 'tied'"),
+        (lambda: FitDataset(make_trace(points=11)[0], PumpScheme.RED,
+                            {"kappa": ParamBinding.fixed("gamma_m", 1.0)}),
+         "binding key 'kappa' does not match binding name 'gamma_m'"),
+        (lambda: FitDataset(SweepTrace(np.array([0.0, 1.0]), np.ones(2)), PumpScheme.RED, {}),
+         "trace meta must carry pump_freq_hz"),
+        (lambda: FitProblem([]), "need at least one dataset"),
+    ], ids=["unknown-mode", "key-name-mismatch", "no-pump-frequency", "no-datasets"])
+    def test_rejects_bad_input(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     def test_shared_needs_group(self):
         with pytest.raises(ValueError):
             ParamBinding("omega_m", "shared", 1.0, lo=0.5, hi=2.0)
@@ -399,6 +412,23 @@ class TestFit:
         assert len(calls) == (len(prob.datasets) * (1 + result.iterations)
                               + 2 * reads * len(result.cost_history))
 
+    @pytest.mark.parametrize("kappa_start", [1.1, 0.4], ids=["fitted", "rejected"])
+    def test_residuals_are_those_at_the_returned_point(self, kappa_start):
+        # At 0.4 kappa the start is below kappa_ext: the model rejects the
+        # cavity there, and the fit returns NaN rows instead of the penalty.
+        trace, cav, _ = make_trace(points=201, noise_sigma=0.01)
+        bindings = fixed_bindings(cav, MECH, N_RED_MAX)
+        bindings["kappa"] = ParamBinding.free(
+            "kappa", kappa_start * cav.kappa, 0.3 * cav.kappa, 3 * cav.kappa)
+        problem = FitProblem([FitDataset(trace, PumpScheme.RED, bindings)])
+        result = fit(problem)
+        expected = residuals(problem, list(result.values.values()))
+        assert (result.termination == "penalty") is (kappa_start < 1)
+        if kappa_start < 1:
+            assert np.all(expected == fitting.PENALTY_RESIDUAL)
+            expected = np.full(problem.n_points, np.nan)
+        assert np.array_equal(result.residuals, expected, equal_nan=True)
+
     def test_dataset_params_resolved(self):
         trace, cav, pump = make_trace(points=101)
         problem = FitProblem([FitDataset(trace, PumpScheme.RED,
@@ -406,6 +436,12 @@ class TestFit:
         result = fit(problem)
         assert result.dataset_params[0]["kappa"] == cav.kappa
         assert result.dataset_params[0]["n_cav"] == N_RED_MAX
+
+    def test_dataset_keeps_no_trace_and_one_offset_array(self):
+        trace, cav, _ = make_trace(points=11)
+        ds = FitDataset(trace, PumpScheme.RED, fixed_bindings(cav, MECH, N_RED_MAX))
+        assert ds.offsets is trace.omega
+        assert not any(isinstance(v, SweepTrace) for v in vars(ds).values())
 
     def test_file_trace_keeps_the_absolute_probe_axis(self, tmp_path):
         # Probe and pump within a factor of 2: probe - pump is exact (Sterbenz),
@@ -434,10 +470,10 @@ class TestFit:
         return FitProblem([FitDataset(trace, PumpScheme.RED, bindings)])
 
 
-def joint_six_problem(points=201):
-    """The acceptance-09 shape: red and blue traces at three temperatures,
-    omega_c and kappa free per trace, omega_m and gamma_m shared per
-    temperature (6 datasets, 18 slots)."""
+def joint_six_datasets(points=201):
+    """The acceptance-09 shape as ``(trace, scheme, bindings)`` triples: red
+    and blue traces at three temperatures, omega_c and kappa free per trace,
+    omega_m and gamma_m shared per temperature (6 datasets, 18 slots)."""
     datasets = []
     for temp, gamma_hz, dom_hz in [(250, 15.3, 0.0), (350, 20.0, 7.0), (450, 26.8, 12.0)]:
         mech = MechanicalParams.from_hz(3.8e6 + dom_hz, gamma_hz, 0.56)
@@ -455,8 +491,16 @@ def joint_six_problem(points=201):
                 TWO_PI * (3.8e6 - 200), TWO_PI * (3.8e6 + 200))
             b["gamma_m"] = ParamBinding.shared(
                 "gamma_m", f"m{temp}", TWO_PI * 18.0, TWO_PI * 2.0, TWO_PI * 200.0)
-            datasets.append(FitDataset(trace, scheme, b))
-    return FitProblem(datasets)
+            datasets.append((trace, scheme, b))
+    return datasets
+
+
+def joint_six_problem(points=201):
+    return FitProblem([FitDataset(*d) for d in joint_six_datasets(points)])
+
+
+def penalised(res):
+    return bool(np.all(res == fitting.PENALTY_RESIDUAL))
 
 
 def dense_jacobian(problem, x):
@@ -499,20 +543,33 @@ class TestSparseJacobian:
     def test_equals_dense_where_a_dataset_is_penalised_at_plus_h(self):
         # kappa_ext of trace 0 starts half a Jacobian step below its kappa,
         # so at +h the model rejects that cavity and trace 0 is the penalty.
-        prob = joint_six_problem()
-        ds = prob.datasets[0]
-        kappa = ds.bindings["kappa"].init
+        (trace, scheme, bindings), *rest = joint_six_datasets()
+        kappa = bindings["kappa"].init
         kext = kappa * (1.0 - 0.5 * fitting.JACOBIAN_REL_STEP)
-        bindings = {**ds.bindings, "kappa_ext": ParamBinding.free(
+        bindings = {**bindings, "kappa_ext": ParamBinding.free(
             "kappa_ext", kext, 0.5 * kext, kappa)}
-        prob = FitProblem([FitDataset(ds.trace, ds.scheme, bindings)] + prob.datasets[1:])
+        prob = FitProblem([FitDataset(trace, scheme, bindings)]
+                          + [FitDataset(*d) for d in rest])
         x = internal_start(prob)
         j = prob.slot_names.index("kappa_ext[0]")
         h = fitting.JACOBIAN_REL_STEP * abs(x[j])
         plus = prob.dataset_values(fitting._to_physical(x + h * np.eye(len(x))[j],
                                                         prob._log_flags))
-        assert fitting.penalised(prob.datasets[0].residuals(plus[0]))
+        assert penalised(prob.datasets[0].residuals(plus[0]))
         assert np.array_equal(fitting._jacobian(prob, x), dense_jacobian(prob, x))
+
+    def test_equals_dense_where_the_mechanics_are_rejected_at_x(self):
+        # gamma_m of trace 0 is held at 0, which MechanicalParams rejects: the
+        # trace has no susceptibilities at x, and every evaluation is the penalty.
+        (trace, scheme, bindings), *rest = joint_six_datasets()
+        bindings = {**bindings, "gamma_m": ParamBinding.fixed("gamma_m", 0.0)}
+        prob = FitProblem([FitDataset(trace, scheme, bindings)]
+                          + [FitDataset(*d) for d in rest])
+        x = internal_start(prob)
+        assert prob.datasets[0].susceptibilities(prob.dataset_values(prob.init_values)[0]) == {}
+        jac = fitting._jacobian(prob, x)
+        assert not np.any(jac[prob._rows[0]])
+        assert np.array_equal(jac, dense_jacobian(prob, x))
 
     def test_computes_each_susceptibility_once_per_reuse(self, monkeypatch):
         # Each dataset computes chi_c and chi_m once at x.  A column for
@@ -536,13 +593,14 @@ class TestSparseJacobian:
         # kappa_ext, g0 and n_cav enter neither chi_c nor chi_m.  Blue trace 1
         # starts half a Jacobian step below the largest photon number its
         # blue gate accepts, so at +h in n_cav the model rejects it.
-        prob = joint_six_problem()
+        triples = joint_six_datasets()
+        prob = FitProblem([FitDataset(*d) for d in triples])
         red, blue = prob.datasets[:2]
         p = prob.dataset_values(prob.init_values)[1]
         accepted, rejected = 1e5, 1e7
         for _ in range(100):
             mid = math.sqrt(accepted * rejected)
-            if fitting.penalised(blue.residuals({**p, "n_cav": mid})):
+            if penalised(blue.residuals({**p, "n_cav": mid})):
                 rejected = mid
             else:
                 accepted = mid
@@ -553,15 +611,15 @@ class TestSparseJacobian:
 
         b_red = free(free(red.bindings, "kappa_ext", p["kappa_ext"]), "g0", p["g0"])
         b_blue = free(free(blue.bindings, "kappa_ext", p["kappa_ext"]), "n_cav", n0)
-        prob = FitProblem([FitDataset(red.trace, red.scheme, b_red),
-                           FitDataset(blue.trace, blue.scheme, b_blue)] + prob.datasets[2:])
+        prob = FitProblem([FitDataset(triples[0][0], red.scheme, b_red),
+                           FitDataset(triples[1][0], blue.scheme, b_blue)] + prob.datasets[2:])
         x = internal_start(prob)
         j = prob.slot_names.index("n_cav[1]")
         h = fitting.JACOBIAN_REL_STEP * abs(x[j])
         for sign, rejects in ((0, False), (-1, False), (1, True)):
             at = prob.dataset_values(fitting._to_physical(x + sign * h * np.eye(len(x))[j],
                                                           prob._log_flags))
-            assert fitting.penalised(prob.datasets[1].residuals(at[1])) is rejects
+            assert penalised(prob.datasets[1].residuals(at[1])) is rejects
         jac = fitting._jacobian(prob, x)
         assert np.any(jac[:, j])
         assert np.array_equal(jac, dense_jacobian(prob, x))
@@ -616,6 +674,16 @@ class TestLinewidthExtraction:
         trace, cav, pump = make_trace(points=801, half_width=500.0)
         with pytest.raises(UnderResolved):
             extract_linewidth(trace)
+
+    def test_feature_cut_by_the_trace_end_has_no_crossing(self):
+        # The grid ends on the red sideband, at the top of the transparency
+        # peak, so the feature has no half crossing on its right.
+        cav = cav_hz(84e3)
+        pump = PumpConfig(PumpScheme.RED, -MECH.omega_m, n_cav=N_RED_MAX)
+        grid = np.linspace(MECH.omega_m - 400 * TWO_PI * GAMMA_EFF_RED_HZ, MECH.omega_m, 801)
+        with pytest.raises(FeatureNotFound,
+                           match="^feature has no half-contrast crossing inside the trace$"):
+            extract_linewidth(simulate_line_cut(pump, cav, MECH, grid))
 
     def test_works_on_magnitude_only_trace(self):
         trace, cav, pump = make_trace(points=10001)

@@ -336,6 +336,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             PumpConfig(PumpScheme.RED, 0.0, n_cav=-1.0)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PumpConfig(PumpScheme.RED, 0.0, p_in=-1.0), "p_in must be non-negative"),
+        (lambda: effective_linewidth(MECH, -0.1, PumpScheme.RED),
+         "cooperativity must be non-negative"),
+    ], ids=["pump-negative-power", "negative-cooperativity"])
+    def test_rejects_bad_input(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     def test_pump_omega_d_and_retune(self):
         cav = cav_hz(1e5)
         pump = PumpConfig(PumpScheme.RED, -MECH.omega_m, n_cav=1.0)

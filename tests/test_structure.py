@@ -8,6 +8,9 @@ Dunder names such as ``__setattr__`` are not private.
 Export check: in each module that declares ``__all__``, every listed name
 exists and every public top-level function or class is listed.
 
+Layering check: each module imports only the sibling modules below it in
+``ALLOWED_IMPORTS``; ``cli`` may import any.
+
 Import check: ``import omitbench.cli`` does not load jsonschema, which would
 add tens of milliseconds to every CLI call.
 
@@ -62,6 +65,46 @@ def test_check_sees_a_private_reach(tmp_path):
                       "    return ds._data, self._own, object.__setattr__\n")
     assert private_reaches(sample) == ["sample.py:1: imports _helper",
                                        "sample.py:3: uses ._data"]
+
+
+# The sibling modules each module may import; cli, the top layer, may import any.
+ALLOWED_IMPORTS = {
+    "__init__": set(),
+    "model": set(),
+    "sweeps": {"model"},
+    **dict.fromkeys(("fitting", "datafiles", "svgmap", "config"), {"model", "sweeps"}),
+}
+
+
+def sibling_imports(path):
+    """The names of the package modules that ``path`` imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            names = [f"omitbench.{n}" for n in names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        found |= {n.split(".")[1] for n in names if n.startswith("omitbench.")}
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.stem != "cli"],
+                         ids=lambda p: p.name)
+def test_module_imports_only_lower_layers(path):
+    assert sibling_imports(path) - ALLOWED_IMPORTS[path.stem] == set()
+
+
+def test_layering_check_sees_every_import_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import numpy\nimport omitbench.model\nfrom .fitting import fit\n"
+                      "from . import sweeps\nfrom omitbench.config import load_config\n")
+    assert sibling_imports(sample) == {"model", "fitting", "sweeps", "config"}
 
 
 def module_exports(path):

@@ -212,6 +212,16 @@ class TestTraceType:
         with pytest.raises(ValueError):
             SweepTrace(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SweepTrace(np.array([0.0]), np.ones(1)),
+         "omega must be a 1-D axis with at least 2 points"),
+        (lambda: SweepMap(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                          np.array([[1.0, np.inf], [1.0, 1.0]])), "map entries must be finite"),
+    ], ids=["one-point-trace", "non-finite-map-entry"])
+    def test_rejects_bad_input(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     def test_magnitude_of_complex(self):
         t = SweepTrace(np.array([0.0, 1.0]), np.array([1j, 3 + 4j]))
         assert np.allclose(t.magnitude(), [1.0, 5.0])
