@@ -64,7 +64,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "omega_c_hz": {"type": "number", "exclusiveMinimum": 0},
                 "kappa_hz": {"type": "number", "exclusiveMinimum": 0},
-                "kappa_ext_hz": {"type": "number", "minimum": 0},
+                "kappa_ext_hz": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "mechanics": {
@@ -223,15 +223,15 @@ class RunConfig:
     meta: dict = field(default_factory=dict)
 
 
-def _build_pump(entry: dict, cfg_mech: MechanicalParams) -> PumpConfig:
+def _build_pump(i: int, entry: dict, cfg_mech: MechanicalParams) -> PumpConfig:
     scheme = PumpScheme.parse(entry["scheme"])
     # Default to the sideband-aligned detuning for the scheme.
     delta = TWO_PI * entry["detuning_hz"] if "detuning_hz" in entry \
         else scheme.sign * cfg_mech.omega_m
     drives = [k for k in ("n_cav", "power_dbm", "power_w") if k in entry]
     if len(drives) != 1:
-        raise ConfigError(
-            f"pump entry needs exactly one of n_cav, power_dbm, power_w; got {drives}")
+        raise ValueError(f"pumps/{i}: pump entry needs exactly one of "
+                         f"n_cav, power_dbm, power_w; got {drives}")
     if drives[0] == "n_cav":
         return PumpConfig(scheme, delta, n_cav=float(entry["n_cav"]))
     watts = dbm_to_watts(entry["power_dbm"], "power_dbm") if drives[0] == "power_dbm" \
@@ -261,8 +261,11 @@ def load_config(path) -> RunConfig:
 
     try:
         cavity = CavityParams.from_hz(**raw["cavity"])
+    except ValueError as exc:  # past the schema, only kappa_ext_hz > kappa_hz
+        raise ConfigError(f"{path}: cavity/kappa_ext_hz: {exc}") from exc
+    try:
         mech = MechanicalParams.from_hz(**raw["mechanics"])
-        pumps = [_build_pump(p, mech) for p in raw.get("pumps", [])]
+        pumps = [_build_pump(i, p, mech) for i, p in enumerate(raw.get("pumps", []))]
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

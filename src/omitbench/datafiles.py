@@ -72,8 +72,6 @@ class DatasetFormatError(ValueError):
 
     def __init__(self, path, line, message):
         super().__init__(f"{path}:{line}: {message}")
-        self.path = str(path)
-        self.line = line
 
 
 def atomic_write_text(path, text) -> None:

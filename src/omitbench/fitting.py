@@ -4,10 +4,10 @@ Supports the joint (shared-parameter) scheme used for multi-condition
 datasets: a single mechanical frequency and linewidth can be tied across all
 traces taken at one temperature while cavity frequency and linewidth stay
 free per trace.  Residuals are magnitude differences; the optimizer is a
-Levenberg-Marquardt loop with a central-difference Jacobian (2 * sum over
-slots of |datasets(slot)| evaluations, each reusing the susceptibility its
-column does not perturb), multiplicative damping and bound projection.
-Positive rates (kappa, gamma_m, n_cav, g0) are optimized in log coordinates.
+Levenberg-Marquardt loop with the exact Jacobian of |S21| (closed-form
+derivatives, one kernel evaluation per dataset), multiplicative damping from
+1e-2 and bound projection.  Positive rates (kappa, gamma_m, n_cav, g0) are
+optimized in log coordinates.
 """
 
 from __future__ import annotations
@@ -51,21 +51,15 @@ PARAM_NAMES = tuple(PARAM_UNITS)
 # Rates kept positive by optimizing their logarithm.
 LOG_PARAMS = frozenset({"kappa", "gamma_m", "n_cav", "g0"})
 
-# The susceptibility each parameter enters; its Jacobian column reuses the others.
-CHI_OF = {"omega_c": "chi_c", "kappa": "chi_c", "omega_m": "chi_m", "gamma_m": "chi_m"}
-
 # Residual value substituted when a trial point is singular/unphysical, large
-# against O(1) magnitude residuals but small enough to keep the normal
-# equations well conditioned.
+# against O(1) magnitude residuals; it never enters the Jacobian.
 PENALTY_RESIDUAL = 1e3
 
 MAX_ITERATIONS = 200
-INITIAL_DAMPING = 1e-3
+INITIAL_DAMPING = 1e-2
 DAMPING_FACTOR = 10.0
 REL_REDUCTION_TOL = 1e-10
 REL_STEP_TOL = 1e-10
-JACOBIAN_REL_STEP = 1e-6
-JACOBIAN_ABS_STEP = 1e-12
 MIN_POINTS_ACROSS_FWHM = 20
 
 
@@ -172,34 +166,27 @@ class FitDataset:
     def n_points(self) -> int:
         return len(self.data)
 
-    def susceptibilities(self, p: dict[str, float]) -> dict[str, np.ndarray]:
-        """The kernel's ``chi_c`` and ``chi_m`` at ``p``; none if its mechanics are invalid."""
-        try:
-            mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
-        except ValueError:
-            return {}
-        delta = self.omega_d - p["omega_c"]
-        return {"chi_c": cavity_susceptibility(self.offsets, delta, p["kappa"]),
-                "chi_m": mechanical_susceptibility(self.offsets, mech, self.scheme)}
+    def _transmission(self, p):
+        """S21, |S21|, chi_c and chi_m at ``p``; raises where the model rejects ``p``."""
+        cav = CavityParams(p["omega_c"], p["kappa"], p["kappa_ext"])
+        mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
+        pump = PumpConfig(self.scheme, self.omega_d - p["omega_c"], n_cav=p["n_cav"])
+        chi_c = cavity_susceptibility(self.offsets, pump.delta, cav.kappa)
+        chi_m = mechanical_susceptibility(self.offsets, mech, self.scheme)
+        s21 = probe_transmission(self.offsets, pump, cav, mech, chi_c=chi_c, chi_m=chi_m)
+        mag = np.abs(s21)
+        if not np.isfinite(mag).all():
+            raise ValueError("|S21| is not finite")
+        return s21, mag, chi_c, chi_m
 
-    def residuals(self, p: dict[str, float], **chi) -> np.ndarray:
-        """Residual |S21_model| - |S21_data| at the parameter set ``p`` (one
-        value per name in ``PARAM_NAMES``), given any of its susceptibilities
-        ``chi_c``/``chi_m``.  A singular or unphysical parameter set gives the
-        finite penalty value at every point instead."""
+    def residuals(self, p: dict[str, float]) -> np.ndarray:
+        """Residual |S21_model| - |S21_data| at the parameter set ``p`` (one value
+        per name in ``PARAM_NAMES``).  Where the model rejects ``p`` (a singular,
+        unphysical or non-finite response) every point gets the penalty value."""
         try:
-            cav = CavityParams(p["omega_c"], p["kappa"], p["kappa_ext"])
-            mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
-            pump = PumpConfig(self.scheme, self.omega_d - p["omega_c"], n_cav=p["n_cav"])
-            model = np.abs(probe_transmission(self.offsets, pump, cav, mech, **chi))
-            res = model - self.data
+            return self._transmission(p)[1] - self.data
         except (SingularDenominator, ValueError):
             return np.full(self.n_points, PENALTY_RESIDUAL)
-        if np.isfinite(res).all():
-            return res
-        # Guard: a trial evaluation must never leak a non-finite residual.
-        return np.nan_to_num(res, nan=PENALTY_RESIDUAL,
-                             posinf=PENALTY_RESIDUAL, neginf=-PENALTY_RESIDUAL)
 
 
 class FitProblem:
@@ -238,11 +225,9 @@ class FitProblem:
                         f"{(b.init, b.lo, b.hi)} vs {(prev.init, prev.lo, prev.hi)}")
                 slot_of[name] = list(slots).index(key)
             self._params.append((fixed, slot_of))
-        # Each dataset's rows in the stacked residual; each slot's readers.
+        # Each dataset's rows in the stacked residual.
         ends = np.cumsum([0] + [ds.n_points for ds in self.datasets]).tolist()
         self._rows = [slice(a, b) for a, b in zip(ends, ends[1:])]
-        self._readers = [[i for i, (_, slot_of) in enumerate(self._params)
-                          if j in slot_of.values()] for j in range(len(slots))]
 
         bindings = list(slots.values())
         self.slot_names = tuple(slots)
@@ -319,28 +304,48 @@ def _to_physical(x, log_flags):
 
 
 def _jacobian(problem, x):
-    """Central-difference Jacobian with per-parameter relative steps.  Column
-    j evaluates only the datasets that read slot j; its other rows are 0."""
+    """Exact Jacobian of the stacked residual in internal coordinates (a log slot's
+    column is scaled by its value): one kernel evaluation per dataset, computing only
+    the columns of the slots it reads; a dataset the model rejects at x gets zero rows.
+    With D = 1 -/+ g0^2 n chi_c chi_m (upper sign blue): dS/dchi_c = -(kappa_ext/2)/D^2,
+    dS/dchi_m = -/+ (kappa_ext/2) g0^2 n chi_c^2/D^2, dS/dkappa_ext = -chi_c/(2D),
+    dS/d(g0^2 n) = -/+ (kappa_ext/2) chi_c^2 chi_m/D^2; dchi_c/domega_c = -i chi_c^2,
+    dchi_c/dkappa = -chi_c^2/2, dchi_m/domega_m = +/- i chi_m^2, dchi_m/dgamma_m =
+    -chi_m^2/2; d|S|/dθ = Re(conj(S) dS/dθ)/|S|, taken as 0 where S = 0."""
     jac = np.zeros((problem.n_points, len(x)))
-    base = problem.dataset_values(_to_physical(x, problem._log_flags))
-    chis = [ds.susceptibilities(p) for ds, p in zip(problem.datasets, base)]
-    for j, (name, unit) in enumerate(zip(problem.slot_params, np.eye(len(x)))):
-        h = max(JACOBIAN_REL_STEP * abs(x[j]), JACOBIAN_ABS_STEP)
-        plus, minus = (_to_physical(xs, problem._log_flags).tolist()[j]
-                       for xs in (x + h * unit, x - h * unit))
-        for i in problem._readers[j]:
-            chi = {k: v for k, v in chis[i].items() if k != CHI_OF.get(name)}
-            res = problem.datasets[i].residuals
-            jac[problem._rows[i], j] = (res({**base[i], name: plus}, **chi)
-                                        - res({**base[i], name: minus}, **chi)) / (2.0 * h)
+    values = problem.dataset_values(_to_physical(x, problem._log_flags))
+    for ds, p, (_, slot_of), rows in zip(problem.datasets, values, problem._params,
+                                         problem._rows):
+        try:
+            s21, mag, chi_c, chi_m = ds._transmission(p)
+        except (SingularDenominator, ValueError):
+            continue
+        w = np.divide(s21.conj(), mag, out=np.zeros_like(s21), where=mag > 0)
+        sign, coupling = ds.scheme.sign, p["g0"] ** 2 * p["n_cav"]
+        q = chi_c / (1.0 - sign * coupling * chi_c * chi_m)  # chi_c / D
+        wb = w * (0.5 * p["kappa_ext"]) * q * q  # w (kappa_ext/2) chi_c^2 / D^2
+        grads = {}
+        if slot_of.keys() & {"omega_c", "kappa"}:
+            grads.update(omega_c=-wb.imag, kappa=0.5 * wb.real)
+        if "kappa_ext" in slot_of:
+            grads.update(kappa_ext=-0.5 * (w * q).real)
+        if slot_of.keys() & {"g0", "n_cav"}:
+            d_coupling = -sign * (wb * chi_m).real  # d|S|/d(g0^2 n)
+            grads.update(g0=2.0 * p["g0"] * p["n_cav"] * d_coupling,
+                         n_cav=p["g0"] ** 2 * d_coupling)
+        if slot_of.keys() & {"omega_m", "gamma_m"}:
+            wm = coupling * wb * chi_m * chi_m
+            grads.update(omega_m=wm.imag, gamma_m=0.5 * sign * wm.real)
+        for name, j in slot_of.items():
+            jac[rows, j] = grads[name] * p[name] if name in LOG_PARAMS else grads[name]
     return jac
 
 
 def fit(problem: FitProblem) -> FitResult:
     """Damped least squares over the problem's free and shared slots.
 
-    Levenberg-Marquardt with a central-difference Jacobian, damping divided
-    (multiplied) by 10 on accepted (rejected) steps from 1e-3, bound handling
+    Levenberg-Marquardt with the exact Jacobian, damping divided
+    (multiplied) by 10 on accepted (rejected) steps from 1e-2, bound handling
     by projection, and convergence once the relative residual-norm reduction
     or the relative parameter step drops below 1e-10, capped at 200
     iterations.  On hitting the cap, or when a dataset's residual at the
@@ -348,18 +353,16 @@ def fit(problem: FitProblem) -> FitResult:
     with ``converged=False``; ``termination`` names the reason.  The
     Jacobian and the normal equations are formed once at the start and once
     after each accepted step; the standard errors reuse the last.  Each Jacobian
-    costs 2 * sum over slots of |datasets(slot)| dataset evaluations.
+    costs one kernel evaluation per dataset.
 
     Raises
     ------
     InsufficientData
         If the problem has fewer points than adjustable parameters.
     """
-    n_par = problem.n_parameters
-    n_pts = problem.n_points
+    n_par, n_pts = problem.n_parameters, problem.n_points
     if n_pts < n_par:
-        raise InsufficientData(
-            f"{n_pts} data points for {n_par} adjustable parameters")
+        raise InsufficientData(f"{n_pts} data points for {n_par} adjustable parameters")
 
     log_flags = problem._log_flags
     lo = _to_internal(problem.lower_bounds, log_flags)
@@ -435,8 +438,7 @@ def _uncertainties(jac, a, rnorm, values_phys, log_flags):
     sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     sig[~np.any(jac, axis=0)] = math.nan
     # Delta method back to physical units for log-coordinate slots.
-    sig = np.where(log_flags, sig * values_phys, sig)
-    return sig
+    return np.where(log_flags, sig * values_phys, sig)
 
 
 def _noise_estimate(y: np.ndarray) -> float:

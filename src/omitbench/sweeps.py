@@ -233,14 +233,9 @@ def simulate_map(scheme: PumpScheme, cav: CavityParams, mech: MechanicalParams,
         except SingularDenominator as exc:
             raise SingularDenominator(
                 f"map row {r} (detuning {delta / TWO_PI:.6f} Hz): {exc}") from exc
-    full_meta = {"scheme": scheme.value}
-    if n_cav is not None:
-        full_meta["n_cav"] = float(n_cav)
-    else:
-        full_meta["pump_power_w"] = float(p_in)
-    if meta:
-        full_meta.update(meta)
-    return SweepMap(delta=delta_grid, omega=omega_grid, s21_mag=rows, meta=full_meta)
+    drive = {"n_cav": float(n_cav)} if n_cav is not None else {"pump_power_w": float(p_in)}
+    return SweepMap(delta=delta_grid, omega=omega_grid, s21_mag=rows,
+                    meta={"scheme": scheme.value, **drive, **(meta or {})})
 
 
 def emulate_protocol(scheme: PumpScheme, cav: CavityParams, mech: MechanicalParams, *,

@@ -550,6 +550,11 @@ class TestErrorContract:
         write_config(tmp_path, "note.json", pumps=[{"scheme": "red", "n_cav": 1.3e6}],
                      meta={"note": "line one\nline two"})
         write_config(tmp_path, "loud.json", pumps=[{"scheme": "red", "power_dbm": 1e6}])
+        write_config(tmp_path, "drives.json", pumps=[
+            {"scheme": "red", "n_cav": 1.3e6}, {"scheme": "blue", "n_cav": 1e5, "power_w": 1e-12}])
+        for name, kappa_ext_hz in (("uncoupled.json", 0), ("overcoupled.json", 1e5)):
+            write_config(tmp_path, name, cavity={"omega_c_hz": 6e9, "kappa_hz": 84e3,
+                                                 "kappa_ext_hz": kappa_ext_hz})
         # json.dumps cannot print a 5,001-digit integer, so it is spliced in.
         (tmp_path / "huge.json").write_text(
             json.dumps(base_config(pumps=[{"scheme": "red", "n_cav": 0}]))
@@ -644,6 +649,15 @@ class TestErrorContract:
         pytest.param("--config loud.json --out x.csv simulate", 2,
                      "loud.json: power_dbm 1e+06 dBm is too large to express in watts",
                      id="config-power-dbm-overflow"),
+        pytest.param("--config drives.json --out x.csv simulate", 2,
+                     "drives.json: pumps/1: pump entry needs exactly one of n_cav, power_dbm, "
+                     "power_w; got ['n_cav', 'power_w']", id="config-pump-two-drives"),
+        pytest.param("--config uncoupled.json --out x.csv simulate --ncav 0", 2,
+                     "uncoupled.json: cavity/kappa_ext_hz: 0 is less than or equal to the "
+                     "minimum of 0", id="config-kappa-ext-zero"),
+        pytest.param("--config overcoupled.json --out x.csv simulate --ncav 0", 2,
+                     "overcoupled.json: cavity/kappa_ext_hz: kappa_ext must satisfy "
+                     "0 < kappa_ext <= kappa", id="config-kappa-ext-over-kappa"),
         pytest.param("--config fit.json fit loud.csv", 2,
                      "pump_power_dbm 1e+06 dBm is too large to express in watts",
                      id="file-pump-power-dbm-overflow"),

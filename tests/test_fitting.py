@@ -28,6 +28,7 @@ from omitbench.model import (
     MechanicalParams,
     PumpConfig,
     PumpScheme,
+    probe_transmission,
 )
 from omitbench.sweeps import (
     NoiseSpec,
@@ -391,26 +392,22 @@ class TestFit:
         assert np.isfinite(result.stderr["kappa[0]"])
         assert result.stderr["kappa[0]"] > 0
 
-    def test_one_jacobian_per_accepted_point(self, monkeypatch):
+    def test_one_kernel_evaluation_per_dataset_per_jacobian(self, monkeypatch):
         # Every dataset is evaluated once for the start point and once per
-        # trial step.  One central-difference Jacobian follows each accepted
-        # point (the last also gives the standard errors); its column for a
-        # slot evaluates only the datasets that read that slot, 8 in all for
-        # this pair: kappa and omega_c of each trace (1 each) and the shared
-        # omega_m and gamma_m (2 each).  This fit ends on a rejected step.
+        # trial step, and once more for the Jacobian after each accepted
+        # point (the last also gives the standard errors).
         prob, _, _ = self._shared_pair_problem()
         calls = []
-        inner = FitDataset.residuals
 
-        def counted(ds, p, **chi):
-            calls.append(ds)
-            return inner(ds, p, **chi)
+        def counted(*args, _inner=fitting.probe_transmission, **kwargs):
+            calls.append(args[0])
+            return _inner(*args, **kwargs)
 
-        monkeypatch.setattr(FitDataset, "residuals", counted)
+        monkeypatch.setattr(fitting, "probe_transmission", counted)
         result = fit(prob)
-        reads = 4 * 1 + 2 * 2
-        assert len(calls) == (len(prob.datasets) * (1 + result.iterations)
-                              + 2 * reads * len(result.cost_history))
+        assert result.termination == "reduction_tol"
+        assert len(calls) == len(prob.datasets) * (1 + result.iterations
+                                                   + len(result.cost_history))
 
     @pytest.mark.parametrize("kappa_start", [1.1, 0.4], ids=["fitted", "rejected"])
     def test_residuals_are_those_at_the_returned_point(self, kappa_start):
@@ -499,130 +496,113 @@ def joint_six_problem(points=201):
     return FitProblem([FitDataset(*d) for d in joint_six_datasets(points)])
 
 
-def penalised(res):
-    return bool(np.all(res == fitting.PENALTY_RESIDUAL))
+def internal_start(problem):
+    return fitting._to_internal(problem.init_values, problem._log_flags)
 
 
-def dense_jacobian(problem, x):
-    """Reference: every column from the full stacked residual at x -/+ h."""
+def central_difference(problem, x, steps):
+    """Reference: each column from the stacked residual at x -/+ h, h from
+    ``steps`` (internal units), divided by the float distance between the two."""
     def fun(v):
         return residuals(problem, fitting._to_physical(v, problem._log_flags))
 
     columns = []
     for j, unit in enumerate(np.eye(len(x))):
-        h = max(fitting.JACOBIAN_REL_STEP * abs(x[j]), fitting.JACOBIAN_ABS_STEP)
-        columns.append((fun(x + h * unit) - fun(x - h * unit)) / (2.0 * h))
+        plus, minus = x + steps[j] * unit, x - steps[j] * unit
+        columns.append((fun(plus) - fun(minus)) / (plus[j] - minus[j]))
     return np.column_stack(columns)
 
 
-def internal_start(problem):
-    return fitting._to_internal(problem.init_values, problem._log_flags)
+def all_free_problem(scheme):
+    """One noisy trace with all seven parameters free, started off the truth."""
+    n_cav = N_RED_MAX if scheme is PumpScheme.RED else N_BLUE_MAX
+    trace, cav, _ = make_trace(scheme, 84e3, n_cav, points=1601, noise_sigma=0.01, seed=5)
+    truth = {"omega_c": cav.omega_c, "kappa": cav.kappa, "kappa_ext": cav.kappa_ext,
+             "omega_m": MECH.omega_m, "gamma_m": MECH.gamma_m, "g0": MECH.g0, "n_cav": n_cav}
+    start = {"omega_c": cav.omega_c + 0.1 * cav.kappa, "kappa": 1.05 * cav.kappa,
+             "kappa_ext": 0.95 * cav.kappa_ext, "omega_m": MECH.omega_m + TWO_PI * 2.0,
+             "gamma_m": 1.1 * MECH.gamma_m, "g0": 1.02 * MECH.g0, "n_cav": 0.97 * n_cav}
+    bindings = {name: ParamBinding.free(name, start[name], truth[name] - abs(truth[name]) / 2,
+                                        truth[name] + abs(truth[name]) / 2)
+                for name in fitting.PARAM_NAMES}
+    return FitProblem([FitDataset(trace, scheme, bindings)])
 
 
 class TestSparseJacobian:
-    def test_evaluates_only_the_datasets_that_read_each_slot(self, monkeypatch):
+    @pytest.mark.parametrize("scheme", [PumpScheme.RED, PumpScheme.BLUE], ids=["red", "blue"])
+    def test_equals_small_step_central_difference(self, scheme):
+        # Linear slots (omega_c, kappa_ext, omega_m) step by 0.01 rad/s, far
+        # below gamma_eff (64 rad/s blue, 218 red); log slots by 1e-6.
+        prob = all_free_problem(scheme)
+        assert set(prob.slot_params) == set(fitting.PARAM_NAMES)
+        x = internal_start(prob)
+        steps = np.where(prob._log_flags, 1e-6, 1e-2)
+        jac, ref = fitting._jacobian(prob, x), central_difference(prob, x, steps)
+        for j, slot in enumerate(prob.slot_names):
+            scale = np.max(np.abs(ref[:, j]))
+            assert scale > 0, slot
+            assert np.max(np.abs(jac[:, j] - ref[:, j])) <= 1e-5 * scale, slot
+
+    def test_columns_fill_only_the_rows_of_datasets_that_read_the_slot(self):
         prob = joint_six_problem()
-        assert (len(prob.datasets), prob.n_parameters) == (6, 18)
-        calls = []
-        inner = FitDataset.residuals
-
-        def counted(ds, p, **chi):
-            calls.append(ds)
-            return inner(ds, p, **chi)
-
-        monkeypatch.setattr(FitDataset, "residuals", counted)
-        fitting._jacobian(prob, internal_start(prob))
+        jac = fitting._jacobian(prob, internal_start(prob))
+        readers = [[i for i, (_, slot_of) in enumerate(prob._params) if j in slot_of.values()]
+                   for j in range(prob.n_parameters)]
         # 12 free slots read by 1 dataset, 6 shared slots read by 2.
-        assert len(calls) == 2 * (12 * 1 + 6 * 2) == 48
+        assert sorted(map(len, readers)) == [1] * 12 + [2] * 6
+        for j, slot in enumerate(prob.slot_names):
+            for i, rows in enumerate(prob._rows):
+                assert bool(np.all(jac[rows, j] != 0)) is (i in readers[j]), (slot, i)
+                assert bool(np.any(jac[rows, j])) is (i in readers[j]), (slot, i)
 
-    def test_equals_dense_central_difference(self):
-        prob = joint_six_problem()
-        x = internal_start(prob)
-        assert np.array_equal(fitting._jacobian(prob, x), dense_jacobian(prob, x))
-
-    def test_equals_dense_where_a_dataset_is_penalised_at_plus_h(self):
-        # kappa_ext of trace 0 starts half a Jacobian step below its kappa,
-        # so at +h the model rejects that cavity and trace 0 is the penalty.
-        (trace, scheme, bindings), *rest = joint_six_datasets()
-        kappa = bindings["kappa"].init
-        kext = kappa * (1.0 - 0.5 * fitting.JACOBIAN_REL_STEP)
-        bindings = {**bindings, "kappa_ext": ParamBinding.free(
-            "kappa_ext", kext, 0.5 * kext, kappa)}
-        prob = FitProblem([FitDataset(trace, scheme, bindings)]
-                          + [FitDataset(*d) for d in rest])
-        x = internal_start(prob)
-        j = prob.slot_names.index("kappa_ext[0]")
-        h = fitting.JACOBIAN_REL_STEP * abs(x[j])
-        plus = prob.dataset_values(fitting._to_physical(x + h * np.eye(len(x))[j],
-                                                        prob._log_flags))
-        assert penalised(prob.datasets[0].residuals(plus[0]))
-        assert np.array_equal(fitting._jacobian(prob, x), dense_jacobian(prob, x))
-
-    def test_equals_dense_where_the_mechanics_are_rejected_at_x(self):
-        # gamma_m of trace 0 is held at 0, which MechanicalParams rejects: the
-        # trace has no susceptibilities at x, and every evaluation is the penalty.
+    def test_rejected_dataset_gets_zero_rows_and_the_fit_ends_on_penalty(self):
+        # gamma_m of trace 0 is held at 0, which MechanicalParams rejects.
         (trace, scheme, bindings), *rest = joint_six_datasets()
         bindings = {**bindings, "gamma_m": ParamBinding.fixed("gamma_m", 0.0)}
         prob = FitProblem([FitDataset(trace, scheme, bindings)]
                           + [FitDataset(*d) for d in rest])
-        x = internal_start(prob)
-        assert prob.datasets[0].susceptibilities(prob.dataset_values(prob.init_values)[0]) == {}
-        jac = fitting._jacobian(prob, x)
+        whole = joint_six_problem()
+        jac = fitting._jacobian(prob, internal_start(prob))
+        ref = fitting._jacobian(whole, internal_start(whole))
         assert not np.any(jac[prob._rows[0]])
-        assert np.array_equal(jac, dense_jacobian(prob, x))
+        others = slice(prob._rows[1].start, None)
+        for j, slot in enumerate(prob.slot_names):
+            assert np.array_equal(jac[others, j], ref[others, whole.slot_names.index(slot)])
+        assert fit(prob).termination == "penalty"
 
-    def test_computes_each_susceptibility_once_per_reuse(self, monkeypatch):
-        # Each dataset computes chi_c and chi_m once at x.  A column for
-        # omega_c or kappa (12 slots, 1 reader each) reuses chi_m; one for
-        # omega_m or gamma_m (6 slots, 2 readers each) reuses chi_c.  So each
-        # susceptibility is computed 6 + 2 * 12 = 30 times, not once per
-        # dataset evaluation (48).
+    def test_one_kernel_evaluation_per_dataset(self, monkeypatch):
+        # The kernel gets both susceptibilities and computes neither itself.
         prob = joint_six_problem()
         counts = Counter()
-        for name in ("cavity_susceptibility", "mechanical_susceptibility"):
-            def counted(*args, _name=name, _inner=getattr(model, name)):
+        for module, name in [(fitting, "probe_transmission"), (model, "cavity_susceptibility"),
+                             (model, "mechanical_susceptibility")]:
+            def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
                 counts[_name] += 1
-                return _inner(*args)
+                return _inner(*args, **kwargs)
 
-            monkeypatch.setattr(model, name, counted)
+            monkeypatch.setattr(module, name, counted)
             monkeypatch.setattr(fitting, name, counted)
         fitting._jacobian(prob, internal_start(prob))
-        assert counts == {"cavity_susceptibility": 30, "mechanical_susceptibility": 30}
+        assert counts == {"probe_transmission": 6, "cavity_susceptibility": 6,
+                          "mechanical_susceptibility": 6}
 
-    def test_equals_dense_with_columns_that_reuse_both_susceptibilities(self):
-        # kappa_ext, g0 and n_cav enter neither chi_c nor chi_m.  Blue trace 1
-        # starts half a Jacobian step below the largest photon number its
-        # blue gate accepts, so at +h in n_cav the model rejects it.
-        triples = joint_six_datasets()
-        prob = FitProblem([FitDataset(*d) for d in triples])
-        red, blue = prob.datasets[:2]
-        p = prob.dataset_values(prob.init_values)[1]
-        accepted, rejected = 1e5, 1e7
-        for _ in range(100):
-            mid = math.sqrt(accepted * rejected)
-            if penalised(blue.residuals({**p, "n_cav": mid})):
-                rejected = mid
-            else:
-                accepted = mid
-        n0 = accepted * math.exp(-0.5 * fitting.JACOBIAN_REL_STEP * math.log(accepted))
-
-        def free(b, name, init):
-            return {**b, name: ParamBinding.free(name, init, 0.5 * init, 1.5 * init)}
-
-        b_red = free(free(red.bindings, "kappa_ext", p["kappa_ext"]), "g0", p["g0"])
-        b_blue = free(free(blue.bindings, "kappa_ext", p["kappa_ext"]), "n_cav", n0)
-        prob = FitProblem([FitDataset(triples[0][0], red.scheme, b_red),
-                           FitDataset(triples[1][0], blue.scheme, b_blue)] + prob.datasets[2:])
-        x = internal_start(prob)
-        j = prob.slot_names.index("n_cav[1]")
-        h = fitting.JACOBIAN_REL_STEP * abs(x[j])
-        for sign, rejects in ((0, False), (-1, False), (1, True)):
-            at = prob.dataset_values(fitting._to_physical(x + sign * h * np.eye(len(x))[j],
-                                                          prob._log_flags))
-            assert penalised(prob.datasets[1].residuals(at[1])) is rejects
-        jac = fitting._jacobian(prob, x)
-        assert np.any(jac[:, j])
-        assert np.array_equal(jac, dense_jacobian(prob, x))
+    def test_zero_where_s21_vanishes(self):
+        # Critically coupled bare notch with the pump on the cavity: S21 is
+        # exactly 0 at zero offset, where |S21| has no derivative.
+        cav = CavityParams.from_hz(F_C, 84e3, 84e3)
+        grid = cav.kappa * np.arange(-300, 301) / 100
+        s21 = probe_transmission(grid, PumpConfig(PumpScheme.RED, 0.0, n_cav=0.0), cav, MECH)
+        trace = SweepTrace(grid, s21, {"pump_freq_hz": F_C})
+        bindings = fixed_bindings(cav, MECH, 0.0)
+        bindings["kappa_ext"] = ParamBinding.free("kappa_ext", cav.kappa, cav.kappa / 2, cav.kappa)
+        bindings["omega_c"] = ParamBinding.free(
+            "omega_c", cav.omega_c, cav.omega_c - cav.kappa, cav.omega_c + cav.kappa)
+        prob = FitProblem([FitDataset(trace, PumpScheme.RED, bindings)])
+        jac = fitting._jacobian(prob, internal_start(prob))
+        zero = np.flatnonzero(s21 == 0)
+        assert zero.tolist() == [300]
+        assert np.all(jac[zero] == 0)
+        assert np.all(np.isfinite(jac)) and np.all(np.any(jac, axis=0))
 
     def test_stderr_nan_for_a_slot_its_only_reader_ignores(self):
         # Trace 1 has the pump off, so its free g0 moves nothing; gamma_m is
