@@ -346,12 +346,11 @@ def fit_cmd(state: CliState, datasets):
     """Fit the transmission model to dataset files; write a JSON report
     plus a residual CSV next to it."""
     cfg = _require_config(state)
-    listed = [d for d in cfg.fit["datasets"] if d.get("path")]
-    paths = [str(p) for p in datasets] or [d["path"] for d in listed]
+    paths = [str(p) for p in datasets] or [d["path"] for d in cfg.fit["datasets"]]
     if not paths:
         raise ConfigError("no datasets: pass file arguments or configure fit.datasets")
 
-    by_path = {d["path"]: d["bindings"] for d in listed}
+    by_path = {d["path"]: d["bindings"] for d in cfg.fit["datasets"]}
     fit_datasets = []
     for p in paths:
         data = read_dataset(p)

@@ -125,6 +125,7 @@ CONFIG_SCHEMA = {
                     "items": {
                         "type": "object",
                         "additionalProperties": False,
+                        "required": ["path"],
                         "properties": {
                             "path": {"type": "string"},
                             "bindings": {"type": "array", "items": _BINDING_SCHEMA},

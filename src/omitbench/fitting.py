@@ -4,10 +4,10 @@ Supports the joint (shared-parameter) scheme used for multi-condition
 datasets: a single mechanical frequency and linewidth can be tied across all
 traces taken at one temperature while cavity frequency and linewidth stay
 free per trace.  Residuals are magnitude differences; the optimizer is a
-Levenberg-Marquardt loop with the exact Jacobian of |S21| (closed-form
-derivatives, one kernel evaluation per dataset), multiplicative damping from
-1e-2 and bound projection.  Positive rates (kappa, gamma_m, n_cav, g0) are
-optimized in log coordinates.
+Levenberg-Marquardt loop with the exact Jacobian of |S21| (closed-form derivatives
+from the kernel's S21, one kernel evaluation per dataset), a flat penalty residual for
+trial points the model rejects, multiplicative damping from 1e-2 and bound projection.
+Positive rates (kappa, gamma_m, n_cav, g0) are optimized in log coordinates.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .model import (
     PumpConfig,
     PumpScheme,
     SingularDenominator,
-    cavity_susceptibility,
     mechanical_susceptibility,
     probe_transmission,
 )
@@ -167,26 +166,15 @@ class FitDataset:
         return len(self.data)
 
     def _transmission(self, p):
-        """S21, |S21|, chi_c and chi_m at ``p``; raises where the model rejects ``p``."""
+        """S21, |S21| and the mechanics at ``p``; raises where the model rejects ``p``."""
         cav = CavityParams(p["omega_c"], p["kappa"], p["kappa_ext"])
         mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
         pump = PumpConfig(self.scheme, self.omega_d - p["omega_c"], n_cav=p["n_cav"])
-        chi_c = cavity_susceptibility(self.offsets, pump.delta, cav.kappa)
-        chi_m = mechanical_susceptibility(self.offsets, mech, self.scheme)
-        s21 = probe_transmission(self.offsets, pump, cav, mech, chi_c=chi_c, chi_m=chi_m)
+        s21 = probe_transmission(self.offsets, pump, cav, mech)
         mag = np.abs(s21)
         if not np.isfinite(mag).all():
             raise ValueError("|S21| is not finite")
-        return s21, mag, chi_c, chi_m
-
-    def residuals(self, p: dict[str, float]) -> np.ndarray:
-        """Residual |S21_model| - |S21_data| at the parameter set ``p`` (one value
-        per name in ``PARAM_NAMES``).  Where the model rejects ``p`` (a singular,
-        unphysical or non-finite response) every point gets the penalty value."""
-        try:
-            return self._transmission(p)[1] - self.data
-        except (SingularDenominator, ValueError):
-            return np.full(self.n_points, PENALTY_RESIDUAL)
+        return s21, mag, mech
 
 
 class FitProblem:
@@ -256,11 +244,16 @@ def residuals(problem: FitProblem, values) -> np.ndarray:
     """Residual vector |S21_model| - |S21_data| over all datasets.
 
     ``values`` holds the physical slot values (rad/s, counts) in
-    ``problem.slot_names`` order.  Singular or unphysical trial points
-    contribute the finite penalty value instead of raising.
+    ``problem.slot_names`` order.  Every point of a dataset the model rejects
+    (singular, unphysical or non-finite) gets the finite penalty value.
     """
-    return np.concatenate([ds.residuals(p) for ds, p in
-                           zip(problem.datasets, problem.dataset_values(values))])
+    r = np.full(problem.n_points, PENALTY_RESIDUAL)
+    for ds, p, rows in zip(problem.datasets, problem.dataset_values(values), problem._rows):
+        try:
+            r[rows] = ds._transmission(p)[1] - ds.data
+        except (SingularDenominator, ValueError):
+            pass
+    return r
 
 
 @dataclass
@@ -307,7 +300,8 @@ def _jacobian(problem, x):
     """Exact Jacobian of the stacked residual in internal coordinates (a log slot's
     column is scaled by its value): one kernel evaluation per dataset, computing only
     the columns of the slots it reads; a dataset the model rejects at x gets zero rows.
-    With D = 1 -/+ g0^2 n chi_c chi_m (upper sign blue): dS/dchi_c = -(kappa_ext/2)/D^2,
+    chi_c/D = (1 - S)/(kappa_ext/2) comes from the kernel's S, D its denominator (upper
+    sign blue), and only chi_m is computed again: dS/dchi_c = -(kappa_ext/2)/D^2,
     dS/dchi_m = -/+ (kappa_ext/2) g0^2 n chi_c^2/D^2, dS/dkappa_ext = -chi_c/(2D),
     dS/d(g0^2 n) = -/+ (kappa_ext/2) chi_c^2 chi_m/D^2; dchi_c/domega_c = -i chi_c^2,
     dchi_c/dkappa = -chi_c^2/2, dchi_m/domega_m = +/- i chi_m^2, dchi_m/dgamma_m =
@@ -317,12 +311,13 @@ def _jacobian(problem, x):
     for ds, p, (_, slot_of), rows in zip(problem.datasets, values, problem._params,
                                          problem._rows):
         try:
-            s21, mag, chi_c, chi_m = ds._transmission(p)
+            s21, mag, mech = ds._transmission(p)
         except (SingularDenominator, ValueError):
             continue
         w = np.divide(s21.conj(), mag, out=np.zeros_like(s21), where=mag > 0)
         sign, coupling = ds.scheme.sign, p["g0"] ** 2 * p["n_cav"]
-        q = chi_c / (1.0 - sign * coupling * chi_c * chi_m)  # chi_c / D
+        chi_m = mechanical_susceptibility(ds.offsets, mech, ds.scheme)
+        q = (1.0 - s21) / (0.5 * p["kappa_ext"])  # chi_c / D
         wb = w * (0.5 * p["kappa_ext"]) * q * q  # w (kappa_ext/2) chi_c^2 / D^2
         grads = {}
         if slot_of.keys() & {"omega_c", "kappa"}:
@@ -460,14 +455,17 @@ def extract_linewidth(trace: SweepTrace) -> float:
     Raises
     ------
     FeatureNotFound
-        No feature above the noise floor, or no bracketing half crossing
-        inside the trace.
+        No feature above the noise floor, no bracketing half crossing inside
+        the trace, or an edge rms above twice max(noise, 1 % of the contrast):
+        the background was fitted to the feature itself.
     UnderResolved
-        Fewer than 20 grid points across the measured width.
+        Fewer than 20 grid points across the measured width, or in the trace.
     """
     power = trace.magnitude() ** 2
     axis = trace.omega
     n = len(power)
+    if n < MIN_POINTS_ACROSS_FWHM:
+        raise UnderResolved(f"only {n} grid points in the trace (need >= {MIN_POINTS_ACROSS_FWHM})")
     k = max(3, n // 20)
     edge = np.concatenate([np.arange(k), np.arange(n - k, n)])
     # Normalized abscissa keeps the quadratic edge fit well conditioned.
@@ -477,7 +475,8 @@ def extract_linewidth(trace: SweepTrace) -> float:
     idx = int(np.argmax(np.abs(dev)))
     contrast = float(dev[idx])
     level = float(np.median(power))
-    threshold = max(3.0 * _noise_estimate(power), 1e-4 * max(level, 1e-30))
+    noise = _noise_estimate(power)
+    threshold = max(3.0 * noise, 1e-4 * max(level, 1e-30))
     if abs(contrast) <= threshold:
         raise FeatureNotFound("no spectral feature above the noise floor")
     half = contrast / 2.0
@@ -495,5 +494,7 @@ def extract_linewidth(trace: SweepTrace) -> float:
         raise UnderResolved(
             f"only {inside} grid points across the feature width "
             f"(need >= {MIN_POINTS_ACROSS_FWHM})")
+    if math.sqrt(np.mean(dev[edge] ** 2)) > 2.0 * max(noise, 1e-2 * abs(contrast)):
+        raise FeatureNotFound("feature reaches the trace edges, where the background is fitted")
     return float(right - left)
 

@@ -566,6 +566,8 @@ class TestErrorContract:
             "# scheme: red", "# n_cav: 1.3e6", TRACE_HEADER,
             "5.9962e9,5.9962e9,0.56", "5.9963e9,5.9962e9,0.57"]) + "\n")
         write_config(tmp_path, "ncav.json", fit={"bindings": [{"name": "n_cav", "mode": "free"}]})
+        write_config(tmp_path, "pathless.json", fit={"datasets": [
+            {"bindings": [{"name": "omega_c", "mode": "free"}]}]})
         (tmp_path / "undriven.csv").write_text(
             (tmp_path / "tiny.csv").read_text().replace("# n_cav: 1.3e6\n", ""))
         (tmp_path / "loud.csv").write_text(
@@ -697,6 +699,12 @@ class TestErrorContract:
                      "2 data points for 3 adjustable parameters", id="insufficient-data"),
         pytest.param("linewidth bare.csv", 6,
                      "no spectral feature above the noise floor", id="feature-not-found"),
+        pytest.param("--config pathless.json fit tiny.csv", 2,
+                     "pathless.json: fit/datasets/0: 'path' is a required property",
+                     id="config-dataset-without-path"),
+        pytest.param("linewidth tiny.csv", 6,
+                     "only 2 grid points in the trace (need >= 20)",
+                     id="under-resolved-two-points"),
         pytest.param("linewidth red.csv", 6,
                      "only 15 grid points across the feature width (need >= 20)",
                      id="under-resolved"),

@@ -47,14 +47,14 @@ GAMMA_EFF_RED_HZ = 34.713333333333333
 GAMMA_EFF_BLUE_HZ = 10.161493975903614
 
 
-def cav_hz(kappa_hz):
-    return CavityParams.from_hz(F_C, kappa_hz, KAPPA_EXT_HZ)
+def cav_hz(kappa_hz, kappa_ext_hz=KAPPA_EXT_HZ):
+    return CavityParams.from_hz(F_C, kappa_hz, kappa_ext_hz)
 
 
 def make_trace(scheme=PumpScheme.RED, kappa_hz=84e3, n_cav=N_RED_MAX,
                mech=MECH, points=801, noise_sigma=0.0, seed=0,
-               half_width=25.0):
-    cav = cav_hz(kappa_hz)
+               half_width=25.0, kappa_ext_hz=KAPPA_EXT_HZ):
+    cav = cav_hz(kappa_hz, kappa_ext_hz)
     pump = PumpConfig(scheme, scheme.sign * mech.omega_m, n_cav=n_cav)
     grid = default_line_grid(pump, cav, mech, points=points,
                              half_width_gamma_eff=half_width)
@@ -513,10 +513,11 @@ def central_difference(problem, x, steps):
     return np.column_stack(columns)
 
 
-def all_free_problem(scheme):
+def all_free_problem(scheme, kappa_ext_hz=KAPPA_EXT_HZ):
     """One noisy trace with all seven parameters free, started off the truth."""
     n_cav = N_RED_MAX if scheme is PumpScheme.RED else N_BLUE_MAX
-    trace, cav, _ = make_trace(scheme, 84e3, n_cav, points=1601, noise_sigma=0.01, seed=5)
+    trace, cav, _ = make_trace(scheme, 84e3, n_cav, points=1601, noise_sigma=0.01, seed=5,
+                               kappa_ext_hz=kappa_ext_hz)
     truth = {"omega_c": cav.omega_c, "kappa": cav.kappa, "kappa_ext": cav.kappa_ext,
              "omega_m": MECH.omega_m, "gamma_m": MECH.gamma_m, "g0": MECH.g0, "n_cav": n_cav}
     start = {"omega_c": cav.omega_c + 0.1 * cav.kappa, "kappa": 1.05 * cav.kappa,
@@ -529,11 +530,15 @@ def all_free_problem(scheme):
 
 
 class TestSparseJacobian:
-    @pytest.mark.parametrize("scheme", [PumpScheme.RED, PumpScheme.BLUE], ids=["red", "blue"])
-    def test_equals_small_step_central_difference(self, scheme):
+    @pytest.mark.parametrize("scheme, kappa_ext_hz", [
+        (PumpScheme.RED, KAPPA_EXT_HZ), (PumpScheme.BLUE, KAPPA_EXT_HZ),
+        (PumpScheme.RED, 840.0)], ids=["red", "blue", "red-undercoupled"])
+    def test_equals_small_step_central_difference(self, scheme, kappa_ext_hz):
         # Linear slots (omega_c, kappa_ext, omega_m) step by 0.01 rad/s, far
-        # below gamma_eff (64 rad/s blue, 218 red); log slots by 1e-6.
-        prob = all_free_problem(scheme)
+        # below gamma_eff (64 rad/s blue, 218 red); log slots by 1e-6.  At
+        # kappa_ext/kappa = 0.01, 1 - S21, from which the Jacobian takes
+        # chi_c/D, is small.
+        prob = all_free_problem(scheme, kappa_ext_hz)
         assert set(prob.slot_params) == set(fitting.PARAM_NAMES)
         x = internal_start(prob)
         steps = np.where(prob._log_flags, 1e-6, 1e-2)
@@ -571,20 +576,27 @@ class TestSparseJacobian:
         assert fit(prob).termination == "penalty"
 
     def test_one_kernel_evaluation_per_dataset(self, monkeypatch):
-        # The kernel gets both susceptibilities and computes neither itself.
+        # The kernel computes both susceptibilities; the Jacobian reads
+        # chi_c/D from S21 and computes only chi_m again.
         prob = joint_six_problem()
-        counts = Counter()
+        counts, depth = Counter(), [0]
         for module, name in [(fitting, "probe_transmission"), (model, "cavity_susceptibility"),
-                             (model, "mechanical_susceptibility")]:
+                             (model, "mechanical_susceptibility"),
+                             (fitting, "mechanical_susceptibility")]:
             def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
-                counts[_name] += 1
-                return _inner(*args, **kwargs)
+                counts[_name, "in kernel" if depth[0] else "outside"] += 1
+                depth[0] += _name == "probe_transmission"
+                try:
+                    return _inner(*args, **kwargs)
+                finally:
+                    depth[0] -= _name == "probe_transmission"
 
             monkeypatch.setattr(module, name, counted)
-            monkeypatch.setattr(fitting, name, counted)
         fitting._jacobian(prob, internal_start(prob))
-        assert counts == {"probe_transmission": 6, "cavity_susceptibility": 6,
-                          "mechanical_susceptibility": 6}
+        assert counts == {("probe_transmission", "outside"): 6,
+                          ("cavity_susceptibility", "in kernel"): 6,
+                          ("mechanical_susceptibility", "in kernel"): 6,
+                          ("mechanical_susceptibility", "outside"): 6}
 
     def test_zero_where_s21_vanishes(self):
         # Critically coupled bare notch with the pump on the cavity: S21 is
@@ -664,6 +676,33 @@ class TestLinewidthExtraction:
         with pytest.raises(FeatureNotFound,
                            match="^feature has no half-contrast crossing inside the trace$"):
             extract_linewidth(simulate_line_cut(pump, cav, MECH, grid))
+
+    @pytest.mark.parametrize("points", range(2, 20))
+    def test_trace_shorter_than_the_resolution_limit_underresolved(self, points):
+        # Its edge windows would take 3 points each, past the end of a 2-point trace.
+        trace, cav, pump = make_trace(points=points)
+        with pytest.raises(UnderResolved, match=f"^only {points} grid points in the trace "):
+            extract_linewidth(trace)
+
+    @pytest.mark.parametrize("scheme, kappa_hz, n_cav, gamma_eff_hz", [
+        (PumpScheme.RED, 84e3, N_RED_MAX, GAMMA_EFF_RED_HZ),
+        (PumpScheme.BLUE, 83e3, N_BLUE_MAX, GAMMA_EFF_BLUE_HZ)], ids=["red", "blue"])
+    @pytest.mark.parametrize("span", [25, 100])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-2])
+    def test_feature_cut_at_its_top_not_measured(self, scheme, kappa_hz, n_cav, gamma_eff_hz,
+                                                 span, sigma):
+        # 401 points from span gamma_eff below the sideband up to it: the
+        # edge windows lie inside the feature, and the width read there
+        # would be 16 (span 25) or 65 (span 100) gamma_eff.
+        cav = cav_hz(kappa_hz)
+        pump = PumpConfig(scheme, scheme.sign * MECH.omega_m, n_cav=n_cav)
+        side = -scheme.sign * MECH.omega_m
+        grid = np.linspace(side - span * TWO_PI * gamma_eff_hz, side, 401)
+        trace = simulate_line_cut(pump, cav, MECH, grid)
+        if sigma:
+            trace = add_noise(trace, NoiseSpec(sigma, seed=1))
+        with pytest.raises(FeatureNotFound, match="^feature reaches the trace edges"):
+            extract_linewidth(trace)
 
     def test_works_on_magnitude_only_trace(self):
         trace, cav, pump = make_trace(points=10001)

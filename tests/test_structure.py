@@ -14,6 +14,10 @@ Layering check: each module imports only the sibling modules below it in
 Import check: ``import omitbench.cli`` does not load jsonschema, which would
 add tens of milliseconds to every CLI call.
 
+Benchmark check: every ``(module, attribute)`` that ``bench/tracing.py`` traces
+and every omitbench name that ``bench/workloads.py`` imports or reads off an
+omitbench module exists, so a rename fails here and not only in a benchmark run.
+
 Documentation checks: ``pyproject.toml`` declares the package's
 ``__version__``, and the README's library example runs.
 """
@@ -146,6 +150,44 @@ def test_cli_import_does_not_load_jsonschema():
         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, capture_output=True, text=True,
         check=True, timeout=60)
     assert out.stdout == "False\n"
+
+
+def benchmark_names(tracing, workloads):
+    """``(module, attribute)`` of each traced target in ``tracing`` and of each
+    omitbench name that ``workloads`` imports or reads off an omitbench module."""
+    names = set()
+    for node in ast.parse(tracing.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TARGETS":
+            names |= {(v.elts[0].value, v.elts[1].value) for v in node.value.values}
+    tree = ast.parse(workloads.read_text(encoding="utf-8"))
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "omitbench":
+            modules.update({a.asname or a.name: f"omitbench.{a.name}" for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("omitbench."):
+            names |= {(node.module, a.name) for a in node.names}
+    return names | {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules}
+
+
+def test_benchmark_names_exist():
+    names = benchmark_names(ROOT / "bench" / "tracing.py", ROOT / "bench" / "workloads.py")
+    assert {("omitbench.fitting", "FitDataset"), ("omitbench.sweeps", "default_line_grid"),
+            ("omitbench.model", "PumpScheme"), ("omitbench.fitting", "residuals")} <= names
+    assert sorted(f"{m}.{a}" for m, a in names
+                  if not hasattr(importlib.import_module(m), a)) == []
+
+
+def test_benchmark_check_sees_every_name_form(tmp_path):
+    tracing, workloads = tmp_path / "tracing.py", tmp_path / "workloads.py"
+    tracing.write_text('TARGETS = {"m.k": ("omitbench.model", "kernel", _points)}\n')
+    workloads.write_text("from omitbench import fitting, sweeps as sw\n"
+                         "from omitbench.model import TWO_PI\n"
+                         "x = fitting.fit(sw.grid.size, other.attr)\n")
+    assert benchmark_names(tracing, workloads) == {
+        ("omitbench.model", "kernel"), ("omitbench.model", "TWO_PI"),
+        ("omitbench.fitting", "fit"), ("omitbench.sweeps", "grid")}
 
 
 def test_pyproject_declares_the_package_version():
