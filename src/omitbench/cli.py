@@ -305,15 +305,22 @@ def _binding(entry: dict, default) -> ParamBinding:
                         group=entry.get("group"))
 
 
-def _file_n_cav(data: DatasetFile, cfg: RunConfig) -> float | None:
-    if "n_cav" in data.meta:
-        return float(data.meta["n_cav"])
-    if "pump_power_dbm" in data.meta:
-        omega_d = TWO_PI * float(np.median(data.pump_freq_hz))
-        watts = dbm_to_watts(float(data.meta["pump_power_dbm"]), "pump_power_dbm")
-        pump = PumpConfig(data.scheme, omega_d - cfg.cavity.omega_c, p_in=watts)
-        return intracavity_photon_number(pump, cfg.cavity)
-    return None
+def _file_n_cav(path, data: DatasetFile, cfg: RunConfig) -> float | None:
+    """n_cav from the file's `n_cav` or else `pump_power_dbm` metadata, None
+    without either; an error names the file and the key."""
+    key = next((k for k in ("n_cav", "pump_power_dbm") if k in data.meta), None)
+    if key is None:
+        return None
+    value, floor = data.meta[key], 0.0 if key == "n_cav" else -math.inf
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= floor):
+        raise ValueError(f"{path}: {key} must be a finite number"
+                         f"{' >= 0' if floor == 0 else ''}, got {value!r}")
+    if key == "n_cav":
+        return float(value)
+    watts = dbm_to_watts(float(value), f"{path}: {key}")
+    omega_d = TWO_PI * float(np.median(data.pump_freq_hz))
+    pump = PumpConfig(data.scheme, omega_d - cfg.cavity.omega_c, p_in=watts)
+    return intracavity_photon_number(pump, cfg.cavity)
 
 
 def _dataset_trace(path, data: DatasetFile):
@@ -324,10 +331,10 @@ def _dataset_trace(path, data: DatasetFile):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _dataset_bindings(data: DatasetFile, cfg: RunConfig, entries) -> dict:
+def _dataset_bindings(path, data: DatasetFile, cfg: RunConfig, entries) -> dict:
     # Parameter names are the CavityParams and MechanicalParams field names.
     defaults = {**asdict(cfg.cavity), **asdict(cfg.mechanics),
-                "n_cav": _file_n_cav(data, cfg)}
+                "n_cav": _file_n_cav(path, data, cfg)}
     bindings = {e["name"]: _binding(e, defaults[e["name"]]) for e in entries}
     for name in PARAM_NAMES:
         if name not in bindings:
@@ -346,21 +353,24 @@ def fit_cmd(state: CliState, datasets):
     """Fit the transmission model to dataset files; write a JSON report
     plus a residual CSV next to it."""
     cfg = _require_config(state)
-    paths = [str(p) for p in datasets] or [d["path"] for d in cfg.fit["datasets"]]
-    if not paths:
+    # A file argument takes the bindings of the entry that names the same
+    # file, however spelled; without arguments each entry brings its own.
+    by_path = {Path(d["path"]).resolve(): d["bindings"] for d in cfg.fit["datasets"]}
+    jobs = ([(str(p), by_path.get(Path(p).resolve(), [])) for p in datasets]
+            or [(d["path"], d["bindings"]) for d in cfg.fit["datasets"]])
+    if not jobs:
         raise ConfigError("no datasets: pass file arguments or configure fit.datasets")
 
-    by_path = {d["path"]: d["bindings"] for d in cfg.fit["datasets"]}
     fit_datasets = []
-    for p in paths:
+    for p, own in jobs:
         data = read_dataset(p)
-        bindings = _dataset_bindings(data, cfg, cfg.fit["bindings"] + by_path.get(p, []))
+        bindings = _dataset_bindings(p, data, cfg, cfg.fit["bindings"] + own)
         fit_datasets.append(FitDataset(_dataset_trace(p, data), data.scheme, bindings))
     problem = FitProblem(fit_datasets)
     result = run_fit(problem)
 
     out = Path(state.out) if state.out is not None else Path("fit_report.json")
-    write_fit_report(out, result, problem, paths)
+    write_fit_report(out, result, problem, [p for p, _ in jobs])
     write_residual_csv(out.with_name(out.stem + "_residuals.csv"), problem, result)
     click.echo(f"{out}: converged={result.converged} "
                f"iterations={result.iterations} "

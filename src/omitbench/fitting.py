@@ -5,7 +5,8 @@ datasets: a single mechanical frequency and linewidth can be tied across all
 traces taken at one temperature while cavity frequency and linewidth stay
 free per trace.  Residuals are magnitude differences; the optimizer is a
 Levenberg-Marquardt loop with the exact Jacobian of |S21| (closed-form derivatives
-from the kernel's S21, one kernel evaluation per dataset), a flat penalty residual for
+from the kernel's S21: one kernel evaluation per dataset per trial point gives both the
+residual and the Jacobian, rejected trials included), a flat penalty residual for
 trial points the model rejects, multiplicative damping from 1e-2 and bound projection.
 Positive rates (kappa, gamma_m, n_cav, g0) are optimized in log coordinates.
 """
@@ -165,17 +166,6 @@ class FitDataset:
     def n_points(self) -> int:
         return len(self.data)
 
-    def _transmission(self, p):
-        """S21, |S21| and the mechanics at ``p``; raises where the model rejects ``p``."""
-        cav = CavityParams(p["omega_c"], p["kappa"], p["kappa_ext"])
-        mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
-        pump = PumpConfig(self.scheme, self.omega_d - p["omega_c"], n_cav=p["n_cav"])
-        s21 = probe_transmission(self.offsets, pump, cav, mech)
-        mag = np.abs(s21)
-        if not np.isfinite(mag).all():
-            raise ValueError("|S21| is not finite")
-        return s21, mag, mech
-
 
 class FitProblem:
     """A set of datasets fitted together through their parameter bindings.
@@ -240,20 +230,57 @@ class FitProblem:
                 for fixed, slot_of in self._params]
 
 
-def residuals(problem: FitProblem, values) -> np.ndarray:
-    """Residual vector |S21_model| - |S21_data| over all datasets.
+def residuals(problem: FitProblem, values) -> tuple[np.ndarray, np.ndarray]:
+    """Residual vector |S21_model| - |S21_data| over all datasets and its exact
+    Jacobian in internal coordinates (a log slot's column is scaled by its value).
 
     ``values`` holds the physical slot values (rad/s, counts) in
-    ``problem.slot_names`` order.  Every point of a dataset the model rejects
-    (singular, unphysical or non-finite) gets the finite penalty value.
+    ``problem.slot_names`` order.  One kernel evaluation per dataset gives both;
+    a column is computed only for the datasets that read its slot.  Every point
+    of a dataset the model rejects (singular, unphysical or non-finite) gets the
+    finite penalty value and a zero Jacobian row.  chi_c/D = (1 - S)/(kappa_ext/2)
+    comes from the kernel's S, D its denominator (upper sign blue), and only chi_m
+    is computed again: dS/dchi_c = -(kappa_ext/2)/D^2, dS/dchi_m = -/+ (kappa_ext/2)
+    g0^2 n chi_c^2/D^2, dS/dkappa_ext = -chi_c/(2D), dS/d(g0^2 n) = -/+ (kappa_ext/2)
+    chi_c^2 chi_m/D^2; dchi_c/domega_c = -i chi_c^2, dchi_c/dkappa = -chi_c^2/2,
+    dchi_m/domega_m = +/- i chi_m^2, dchi_m/dgamma_m = -chi_m^2/2; d|S|/dθ =
+    Re(conj(S) dS/dθ)/|S|, taken as 0 where S = 0.
     """
     r = np.full(problem.n_points, PENALTY_RESIDUAL)
-    for ds, p, rows in zip(problem.datasets, problem.dataset_values(values), problem._rows):
+    jac = np.zeros((problem.n_points, problem.n_parameters))
+    for ds, p, (_, slot_of), rows in zip(problem.datasets, problem.dataset_values(values),
+                                         problem._params, problem._rows):
         try:
-            r[rows] = ds._transmission(p)[1] - ds.data
+            cav = CavityParams(p["omega_c"], p["kappa"], p["kappa_ext"])
+            mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
+            pump = PumpConfig(ds.scheme, ds.omega_d - p["omega_c"], n_cav=p["n_cav"])
+            s21 = probe_transmission(ds.offsets, pump, cav, mech)
+            mag = np.abs(s21)
+            if not np.isfinite(mag).all():
+                raise ValueError("|S21| is not finite")
         except (SingularDenominator, ValueError):
-            pass
-    return r
+            continue
+        r[rows] = mag - ds.data
+        w = np.divide(s21.conj(), mag, out=np.zeros_like(s21), where=mag > 0)
+        sign, coupling = ds.scheme.sign, p["g0"] ** 2 * p["n_cav"]
+        chi_m = mechanical_susceptibility(ds.offsets, mech, ds.scheme)
+        q = (1.0 - s21) / (0.5 * p["kappa_ext"])  # chi_c / D
+        wb = w * (0.5 * p["kappa_ext"]) * q * q  # w (kappa_ext/2) chi_c^2 / D^2
+        grads = {}
+        if slot_of.keys() & {"omega_c", "kappa"}:
+            grads.update(omega_c=-wb.imag, kappa=0.5 * wb.real)
+        if "kappa_ext" in slot_of:
+            grads.update(kappa_ext=-0.5 * (w * q).real)
+        if slot_of.keys() & {"g0", "n_cav"}:
+            d_coupling = -sign * (wb * chi_m).real  # d|S|/d(g0^2 n)
+            grads.update(g0=2.0 * p["g0"] * p["n_cav"] * d_coupling,
+                         n_cav=p["g0"] ** 2 * d_coupling)
+        if slot_of.keys() & {"omega_m", "gamma_m"}:
+            wm = coupling * wb * chi_m * chi_m
+            grads.update(omega_m=wm.imag, gamma_m=0.5 * sign * wm.real)
+        for name, j in slot_of.items():
+            jac[rows, j] = grads[name] * p[name] if name in LOG_PARAMS else grads[name]
+    return r, jac
 
 
 @dataclass
@@ -296,46 +323,6 @@ def _to_physical(x, log_flags):
     return v
 
 
-def _jacobian(problem, x):
-    """Exact Jacobian of the stacked residual in internal coordinates (a log slot's
-    column is scaled by its value): one kernel evaluation per dataset, computing only
-    the columns of the slots it reads; a dataset the model rejects at x gets zero rows.
-    chi_c/D = (1 - S)/(kappa_ext/2) comes from the kernel's S, D its denominator (upper
-    sign blue), and only chi_m is computed again: dS/dchi_c = -(kappa_ext/2)/D^2,
-    dS/dchi_m = -/+ (kappa_ext/2) g0^2 n chi_c^2/D^2, dS/dkappa_ext = -chi_c/(2D),
-    dS/d(g0^2 n) = -/+ (kappa_ext/2) chi_c^2 chi_m/D^2; dchi_c/domega_c = -i chi_c^2,
-    dchi_c/dkappa = -chi_c^2/2, dchi_m/domega_m = +/- i chi_m^2, dchi_m/dgamma_m =
-    -chi_m^2/2; d|S|/dθ = Re(conj(S) dS/dθ)/|S|, taken as 0 where S = 0."""
-    jac = np.zeros((problem.n_points, len(x)))
-    values = problem.dataset_values(_to_physical(x, problem._log_flags))
-    for ds, p, (_, slot_of), rows in zip(problem.datasets, values, problem._params,
-                                         problem._rows):
-        try:
-            s21, mag, mech = ds._transmission(p)
-        except (SingularDenominator, ValueError):
-            continue
-        w = np.divide(s21.conj(), mag, out=np.zeros_like(s21), where=mag > 0)
-        sign, coupling = ds.scheme.sign, p["g0"] ** 2 * p["n_cav"]
-        chi_m = mechanical_susceptibility(ds.offsets, mech, ds.scheme)
-        q = (1.0 - s21) / (0.5 * p["kappa_ext"])  # chi_c / D
-        wb = w * (0.5 * p["kappa_ext"]) * q * q  # w (kappa_ext/2) chi_c^2 / D^2
-        grads = {}
-        if slot_of.keys() & {"omega_c", "kappa"}:
-            grads.update(omega_c=-wb.imag, kappa=0.5 * wb.real)
-        if "kappa_ext" in slot_of:
-            grads.update(kappa_ext=-0.5 * (w * q).real)
-        if slot_of.keys() & {"g0", "n_cav"}:
-            d_coupling = -sign * (wb * chi_m).real  # d|S|/d(g0^2 n)
-            grads.update(g0=2.0 * p["g0"] * p["n_cav"] * d_coupling,
-                         n_cav=p["g0"] ** 2 * d_coupling)
-        if slot_of.keys() & {"omega_m", "gamma_m"}:
-            wm = coupling * wb * chi_m * chi_m
-            grads.update(omega_m=wm.imag, gamma_m=0.5 * sign * wm.real)
-        for name, j in slot_of.items():
-            jac[rows, j] = grads[name] * p[name] if name in LOG_PARAMS else grads[name]
-    return jac
-
-
 def fit(problem: FitProblem) -> FitResult:
     """Damped least squares over the problem's free and shared slots.
 
@@ -345,10 +332,11 @@ def fit(problem: FitProblem) -> FitResult:
     or the relative parameter step drops below 1e-10, capped at 200
     iterations.  On hitting the cap, or when a dataset's residual at the
     returned point is the penalty, the best parameters so far are returned
-    with ``converged=False``; ``termination`` names the reason.  The
-    Jacobian and the normal equations are formed once at the start and once
-    after each accepted step; the standard errors reuse the last.  Each Jacobian
-    costs one kernel evaluation per dataset.
+    with ``converged=False``; ``termination`` names the reason.  Each trial
+    point costs one kernel evaluation per dataset, which gives both the
+    residual and the Jacobian (a rejected trial's Jacobian goes unused); the
+    normal equations are formed at the start and after each accepted step, and
+    the standard errors reuse the last.
 
     Raises
     ------
@@ -363,15 +351,13 @@ def fit(problem: FitProblem) -> FitResult:
     lo = _to_internal(problem.lower_bounds, log_flags)
     hi = _to_internal(problem.upper_bounds, log_flags)
     x = np.clip(_to_internal(problem.init_values, log_flags), lo, hi)
-    r = residuals(problem, _to_physical(x, log_flags))
+    r, jac = residuals(problem, _to_physical(x, log_flags))
     rnorm = float(np.linalg.norm(r))
     history = [rnorm]
     lam = INITIAL_DAMPING
     iterations = 0
     termination = ("no_free_parameters" if n_par == 0 else
                    "zero_residual" if rnorm == 0.0 else None)
-    # Invariant: jac is J(x) for the current x.
-    jac = _jacobian(problem, x)
     a, g = jac.T @ jac, jac.T @ r
 
     while termination is None and iterations < MAX_ITERATIONS:
@@ -388,19 +374,19 @@ def fit(problem: FitProblem) -> FitResult:
         # coordinates (omega_c ~ 1e10 rad/s) mask meaningful motion in the
         # O(1) logarithmic coordinates and stop the loop early.
         step_rel = float(np.max(np.abs(x_trial - x) / (1.0 + np.abs(x))))
-        r_trial = residuals(problem, _to_physical(x_trial, log_flags))
+        r_trial, jac_trial = residuals(problem, _to_physical(x_trial, log_flags))
         rt_norm = float(np.linalg.norm(r_trial))
         if rt_norm < rnorm:
             drop = (rnorm - rt_norm) / rnorm
-            x, r, rnorm = x_trial, r_trial, rt_norm
+            x, r, jac, rnorm = x_trial, r_trial, jac_trial, rt_norm
             history.append(rnorm)
             lam /= DAMPING_FACTOR
-            jac = _jacobian(problem, x)
             a, g = jac.T @ jac, jac.T @ r
             termination = ("reduction_tol" if drop < REL_REDUCTION_TOL else
                            "step_tol" if step_rel < REL_STEP_TOL else
                            "zero_residual" if rnorm == 0.0 else None)
         else:
+            del r_trial, jac_trial  # not alive beside the next trial's
             lam *= DAMPING_FACTOR
             # Damping has pinned the proposal; no reducing step exists.
             termination = "step_tol" if step_rel < REL_STEP_TOL else None
@@ -456,8 +442,9 @@ def extract_linewidth(trace: SweepTrace) -> float:
     ------
     FeatureNotFound
         No feature above the noise floor, no bracketing half crossing inside
-        the trace, or an edge rms above twice max(noise, 1 % of the contrast):
-        the background was fitted to the feature itself.
+        the trace, an edge rms above twice max(noise, 1 % of the contrast)
+        (the background was fitted to the feature itself), or a half crossing
+        less than one measured width from its end of the trace.
     UnderResolved
         Fewer than 20 grid points across the measured width, or in the trace.
     """
@@ -496,5 +483,7 @@ def extract_linewidth(trace: SweepTrace) -> float:
             f"(need >= {MIN_POINTS_ACROSS_FWHM})")
     if math.sqrt(np.mean(dev[edge] ** 2)) > 2.0 * max(noise, 1e-2 * abs(contrast)):
         raise FeatureNotFound("feature reaches the trace edges, where the background is fitted")
+    if min(left - axis[0], axis[-1] - right) < right - left:
+        raise FeatureNotFound("feature lies less than its measured width from a trace end")
     return float(right - left)
 

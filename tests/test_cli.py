@@ -313,6 +313,24 @@ class TestFitCommand:
         assert (tmp_path / "report_residuals.csv").exists()
         assert "converged=True" in r.output
 
+    def test_config_bindings_follow_the_file_however_spelled(self, runner, tmp_path,
+                                                             monkeypatch):
+        # `fit data.csv` and `fit ./data.csv` name the file of the dataset
+        # entry "data.csv", so each reads its gamma_m binding; the report
+        # keeps the path as given.
+        self.simulate_dataset(runner, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, name="fit.json", fit={
+            "bindings": [{"name": "kappa", "mode": "free"}],
+            "datasets": [{"path": "data.csv",
+                          "bindings": [{"name": "gamma_m", "mode": "free"}]}]})
+        for arg in ("data.csv", "./data.csv", str(tmp_path / "data.csv")):
+            r = run(runner, ["--config", cfg, "--out", "report.json", "fit", arg])
+            assert r.exit_code == 0, r.output
+            slots = [line.split(" = ")[0] for line in r.output.splitlines()[1:]]
+            assert slots == ["  kappa[0]", "  gamma_m[0]"], arg
+            assert json.loads(Path("report.json").read_text())["datasets"][0]["path"] == arg
+
     def foreign_dataset(self, runner, tmp_path):
         """README's "Converting foreign data": a file whose meta holds only
         the scheme and the pump power, so the fit derives n_cav itself."""
@@ -572,6 +590,12 @@ class TestErrorContract:
             (tmp_path / "tiny.csv").read_text().replace("# n_cav: 1.3e6\n", ""))
         (tmp_path / "loud.csv").write_text(
             (tmp_path / "tiny.csv").read_text().replace("n_cav: 1.3e6", "pump_power_dbm: 1e6"))
+        for name, drive in (("word", "n_cav: abc"), ("nan", "n_cav: nan"),
+                            ("negative", "n_cav: -5"), ("inf", "n_cav: inf"),
+                            ("dbm-word", "pump_power_dbm: abc"),
+                            ("dbm-inf", "pump_power_dbm: -inf")):
+            (tmp_path / f"{name}.csv").write_text(
+                (tmp_path / "tiny.csv").read_text().replace("n_cav: 1.3e6", drive))
         for args in (["--config", "red.json", "--out", "red.csv", "simulate"],
                      ["--config", "base.json", "--out", "bare.csv", "simulate",
                       "--scheme", "red", "--ncav", "0", "--points", "2001"]):
@@ -661,8 +685,24 @@ class TestErrorContract:
                      "overcoupled.json: cavity/kappa_ext_hz: kappa_ext must satisfy "
                      "0 < kappa_ext <= kappa", id="config-kappa-ext-over-kappa"),
         pytest.param("--config fit.json fit loud.csv", 2,
-                     "pump_power_dbm 1e+06 dBm is too large to express in watts",
+                     "loud.csv: pump_power_dbm 1e+06 dBm is too large to express in watts",
                      id="file-pump-power-dbm-overflow"),
+        pytest.param("--config fit.json fit word.csv", 2,
+                     "word.csv: n_cav must be a finite number >= 0, got 'abc'",
+                     id="file-n-cav-word"),
+        pytest.param("--config fit.json fit nan.csv", 2,
+                     "nan.csv: n_cav must be a finite number >= 0, got nan", id="file-n-cav-nan"),
+        pytest.param("--config fit.json fit negative.csv", 2,
+                     "negative.csv: n_cav must be a finite number >= 0, got -5",
+                     id="file-n-cav-negative"),
+        pytest.param("--config fit.json fit inf.csv", 2,
+                     "inf.csv: n_cav must be a finite number >= 0, got inf", id="file-n-cav-inf"),
+        pytest.param("--config fit.json fit dbm-word.csv", 2,
+                     "dbm-word.csv: pump_power_dbm must be a finite number, got 'abc'",
+                     id="file-pump-power-dbm-word"),
+        pytest.param("--config fit.json fit dbm-inf.csv", 2,
+                     "dbm-inf.csv: pump_power_dbm must be a finite number, got -inf",
+                     id="file-pump-power-dbm-inf"),
         pytest.param("--config red.json --out x.csv simulate --detuning-hz 1e30", 2,
                      "duplicate probe frequencies in the file", id="value-detuning-swamps-probe"),
         pytest.param("--config red.json --out x.csv simulate --points 2001 --detuning-hz 1e14",

@@ -124,7 +124,7 @@ class TestResiduals:
         trace, cav, pump = make_trace(points=201)
         ds = FitDataset(trace, PumpScheme.RED, fixed_bindings(cav, MECH, N_RED_MAX))
         problem = FitProblem([ds])
-        r = residuals(problem, np.array([]))
+        r = residuals(problem, np.array([]))[0]
         assert r.shape == (201,)
         # The pump frequency round-trips through Hz metadata; the float
         # rounding of a 6 GHz carrier, amplified by the steep mechanical
@@ -141,7 +141,7 @@ class TestResiduals:
                                               0.1 * cav.kappa, 10 * cav.kappa)
         ds = FitDataset(trace, PumpScheme.RED, bindings)
         problem = FitProblem([ds])
-        r = residuals(problem, np.array([2 * cav.kappa]))
+        r = residuals(problem, np.array([2 * cav.kappa]))[0]
         assert np.any(r != 0.0)
         # Largest model-data discrepancy within half a linewidth of the notch.
         worst = np.argmax(np.abs(r))
@@ -155,7 +155,7 @@ class TestResiduals:
         bindings["n_cav"] = ParamBinding.free("n_cav", N_BLUE_MAX, 1.0, 1e8)
         ds = FitDataset(trace, PumpScheme.BLUE, bindings)
         problem = FitProblem([ds])
-        r = residuals(problem, np.array([n_crit]))
+        r = residuals(problem, np.array([n_crit]))[0]
         assert np.all(r == 1e3)
         assert np.all(np.isfinite(r))
 
@@ -168,7 +168,7 @@ class TestResiduals:
                                               0.1 * cav.kappa_ext, 10 * cav.kappa)
         ds = FitDataset(trace, PumpScheme.RED, bindings)
         problem = FitProblem([ds])
-        r = residuals(problem, np.array([0.5 * cav.kappa_ext]))
+        r = residuals(problem, np.array([0.5 * cav.kappa_ext]))[0]
         assert np.all(r == 1e3)
 
 
@@ -394,9 +394,9 @@ class TestFit:
 
     def test_one_kernel_evaluation_per_dataset_per_jacobian(self, monkeypatch):
         # Every dataset is evaluated once for the start point and once per
-        # trial step, and once more for the Jacobian after each accepted
-        # point (the last also gives the standard errors).
-        prob, _, _ = self._shared_pair_problem()
+        # trial step, accepted or rejected; that one evaluation gives both the
+        # residual and the Jacobian, so no accepted point is evaluated again.
+        prob = joint_six_problem()
         calls = []
 
         def counted(*args, _inner=fitting.probe_transmission, **kwargs):
@@ -406,8 +406,8 @@ class TestFit:
         monkeypatch.setattr(fitting, "probe_transmission", counted)
         result = fit(prob)
         assert result.termination == "reduction_tol"
-        assert len(calls) == len(prob.datasets) * (1 + result.iterations
-                                                   + len(result.cost_history))
+        assert result.iterations > len(result.cost_history) - 1  # a rejected trial
+        assert len(calls) == len(prob.datasets) * (1 + result.iterations)
 
     @pytest.mark.parametrize("kappa_start", [1.1, 0.4], ids=["fitted", "rejected"])
     def test_residuals_are_those_at_the_returned_point(self, kappa_start):
@@ -419,7 +419,7 @@ class TestFit:
             "kappa", kappa_start * cav.kappa, 0.3 * cav.kappa, 3 * cav.kappa)
         problem = FitProblem([FitDataset(trace, PumpScheme.RED, bindings)])
         result = fit(problem)
-        expected = residuals(problem, list(result.values.values()))
+        expected = residuals(problem, list(result.values.values()))[0]
         assert (result.termination == "penalty") is (kappa_start < 1)
         if kappa_start < 1:
             assert np.all(expected == fitting.PENALTY_RESIDUAL)
@@ -500,11 +500,16 @@ def internal_start(problem):
     return fitting._to_internal(problem.init_values, problem._log_flags)
 
 
+def jacobian(problem, x):
+    """The Jacobian half of ``residuals`` at the internal point x."""
+    return residuals(problem, fitting._to_physical(x, problem._log_flags))[1]
+
+
 def central_difference(problem, x, steps):
     """Reference: each column from the stacked residual at x -/+ h, h from
     ``steps`` (internal units), divided by the float distance between the two."""
     def fun(v):
-        return residuals(problem, fitting._to_physical(v, problem._log_flags))
+        return residuals(problem, fitting._to_physical(v, problem._log_flags))[0]
 
     columns = []
     for j, unit in enumerate(np.eye(len(x))):
@@ -542,7 +547,7 @@ class TestSparseJacobian:
         assert set(prob.slot_params) == set(fitting.PARAM_NAMES)
         x = internal_start(prob)
         steps = np.where(prob._log_flags, 1e-6, 1e-2)
-        jac, ref = fitting._jacobian(prob, x), central_difference(prob, x, steps)
+        jac, ref = jacobian(prob, x), central_difference(prob, x, steps)
         for j, slot in enumerate(prob.slot_names):
             scale = np.max(np.abs(ref[:, j]))
             assert scale > 0, slot
@@ -550,7 +555,7 @@ class TestSparseJacobian:
 
     def test_columns_fill_only_the_rows_of_datasets_that_read_the_slot(self):
         prob = joint_six_problem()
-        jac = fitting._jacobian(prob, internal_start(prob))
+        jac = jacobian(prob, internal_start(prob))
         readers = [[i for i, (_, slot_of) in enumerate(prob._params) if j in slot_of.values()]
                    for j in range(prob.n_parameters)]
         # 12 free slots read by 1 dataset, 6 shared slots read by 2.
@@ -567,8 +572,8 @@ class TestSparseJacobian:
         prob = FitProblem([FitDataset(trace, scheme, bindings)]
                           + [FitDataset(*d) for d in rest])
         whole = joint_six_problem()
-        jac = fitting._jacobian(prob, internal_start(prob))
-        ref = fitting._jacobian(whole, internal_start(whole))
+        jac = jacobian(prob, internal_start(prob))
+        ref = jacobian(whole, internal_start(whole))
         assert not np.any(jac[prob._rows[0]])
         others = slice(prob._rows[1].start, None)
         for j, slot in enumerate(prob.slot_names):
@@ -592,11 +597,31 @@ class TestSparseJacobian:
                     depth[0] -= _name == "probe_transmission"
 
             monkeypatch.setattr(module, name, counted)
-        fitting._jacobian(prob, internal_start(prob))
+        jacobian(prob, internal_start(prob))
         assert counts == {("probe_transmission", "outside"): 6,
                           ("cavity_susceptibility", "in kernel"): 6,
                           ("mechanical_susceptibility", "in kernel"): 6,
                           ("mechanical_susceptibility", "outside"): 6}
+
+    def test_stderr_from_the_jacobian_at_the_returned_point(self, monkeypatch):
+        # The fit's last trial is rejected: a Jacobian kept from that trial, not
+        # from the returned point, would give other standard errors.
+        prob, norms = all_free_problem(PumpScheme.RED), []
+
+        def recorded(*args, _inner=fitting.residuals):
+            out = _inner(*args)
+            norms.append(float(np.linalg.norm(out[0])))
+            return out
+
+        monkeypatch.setattr(fitting, "residuals", recorded)
+        result = fit(prob)
+        assert norms[-1] > result.cost_history[-1]
+        values = np.array(list(result.values.values()))
+        r, jac = residuals(prob, values)
+        assert np.array_equal(r, result.residuals)
+        expected = fitting._uncertainties(jac, jac.T @ jac, float(np.linalg.norm(r)),
+                                          values, prob._log_flags)
+        assert np.array_equal(list(result.stderr.values()), expected, equal_nan=True)
 
     def test_zero_where_s21_vanishes(self):
         # Critically coupled bare notch with the pump on the cavity: S21 is
@@ -610,7 +635,7 @@ class TestSparseJacobian:
         bindings["omega_c"] = ParamBinding.free(
             "omega_c", cav.omega_c, cav.omega_c - cav.kappa, cav.omega_c + cav.kappa)
         prob = FitProblem([FitDataset(trace, PumpScheme.RED, bindings)])
-        jac = fitting._jacobian(prob, internal_start(prob))
+        jac = jacobian(prob, internal_start(prob))
         zero = np.flatnonzero(s21 == 0)
         assert zero.tolist() == [300]
         assert np.all(jac[zero] == 0)
@@ -703,6 +728,26 @@ class TestLinewidthExtraction:
             trace = add_noise(trace, NoiseSpec(sigma, seed=1))
         with pytest.raises(FeatureNotFound, match="^feature reaches the trace edges"):
             extract_linewidth(trace)
+
+    @pytest.mark.parametrize("scheme, kappa_hz, n_cav, gamma_eff_hz, sigma", [
+        (PumpScheme.RED, 84e3, N_RED_MAX, GAMMA_EFF_RED_HZ, 0.05),
+        (PumpScheme.BLUE, 83e3, N_BLUE_MAX, GAMMA_EFF_BLUE_HZ, 0.02)], ids=["red", "blue"])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_noisy_feature_cut_at_its_top_not_measured(self, scheme, kappa_hz, n_cav,
+                                                       gamma_eff_hz, sigma, side):
+        # 401 points over 25 gamma_eff from the sideband: at this noise the
+        # edge rms stays under twice the noise estimate, and the width read
+        # would be 10 to 15 gamma_eff, but a half crossing lies less than one
+        # measured width from its end of the trace.
+        cav = cav_hz(kappa_hz)
+        pump = PumpConfig(scheme, scheme.sign * MECH.omega_m, n_cav=n_cav)
+        top = -scheme.sign * MECH.omega_m
+        grid = np.sort(np.linspace(top, top + side * 25 * TWO_PI * gamma_eff_hz, 401))
+        for seed in range(20):
+            trace = add_noise(simulate_line_cut(pump, cav, MECH, grid), NoiseSpec(sigma, seed))
+            with pytest.raises(FeatureNotFound, match="^feature lies less than its measured "
+                                                      "width from a trace end$"):
+                extract_linewidth(trace)
 
     def test_works_on_magnitude_only_trace(self):
         trace, cav, pump = make_trace(points=10001)
