@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .config import MAX_LINE_POINTS, ConfigError, RunConfig, load_config
@@ -56,6 +55,7 @@ from .model import (
 )
 from .sweeps import (
     NoiseSpec,
+    SweepTrace,
     add_noise,
     dbm_to_watts,
     default_delta_grid,
@@ -305,21 +305,22 @@ def _binding(entry: dict, default) -> ParamBinding:
                         group=entry.get("group"))
 
 
-def _file_n_cav(path, data: DatasetFile, cfg: RunConfig) -> float | None:
-    """n_cav from the file's `n_cav` or else `pump_power_dbm` metadata, None
-    without either; an error names the file and the key."""
-    key = next((k for k in ("n_cav", "pump_power_dbm") if k in data.meta), None)
+def _file_n_cav(path, trace: SweepTrace, cfg: RunConfig) -> float | None:
+    """n_cav from the `n_cav` or else `pump_power_dbm` metadata of a file's
+    trace, None without either; an error names the file and the key."""
+    key = next((k for k in ("n_cav", "pump_power_dbm") if k in trace.meta), None)
     if key is None:
         return None
-    value, floor = data.meta[key], 0.0 if key == "n_cav" else -math.inf
+    value, floor = trace.meta[key], 0.0 if key == "n_cav" else -math.inf
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= floor):
         raise ValueError(f"{path}: {key} must be a finite number"
                          f"{' >= 0' if floor == 0 else ''}, got {value!r}")
     if key == "n_cav":
         return float(value)
     watts = dbm_to_watts(float(value), f"{path}: {key}")
-    omega_d = TWO_PI * float(np.median(data.pump_freq_hz))
-    pump = PumpConfig(data.scheme, omega_d - cfg.cavity.omega_c, p_in=watts)
+    omega_d = TWO_PI * trace.meta["pump_freq_hz"]
+    scheme = PumpScheme.parse(trace.meta["scheme"])
+    pump = PumpConfig(scheme, omega_d - cfg.cavity.omega_c, p_in=watts)
     return intracavity_photon_number(pump, cfg.cavity)
 
 
@@ -331,10 +332,10 @@ def _dataset_trace(path, data: DatasetFile):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _dataset_bindings(path, data: DatasetFile, cfg: RunConfig, entries) -> dict:
+def _dataset_bindings(path, trace: SweepTrace, cfg: RunConfig, entries) -> dict:
     # Parameter names are the CavityParams and MechanicalParams field names.
     defaults = {**asdict(cfg.cavity), **asdict(cfg.mechanics),
-                "n_cav": _file_n_cav(path, data, cfg)}
+                "n_cav": _file_n_cav(path, trace, cfg)}
     bindings = {e["name"]: _binding(e, defaults[e["name"]]) for e in entries}
     for name in PARAM_NAMES:
         if name not in bindings:
@@ -364,8 +365,9 @@ def fit_cmd(state: CliState, datasets):
     fit_datasets = []
     for p, own in jobs:
         data = read_dataset(p)
-        bindings = _dataset_bindings(p, data, cfg, cfg.fit["bindings"] + own)
-        fit_datasets.append(FitDataset(_dataset_trace(p, data), data.scheme, bindings))
+        trace = _dataset_trace(p, data)
+        bindings = _dataset_bindings(p, trace, cfg, cfg.fit["bindings"] + own)
+        fit_datasets.append(FitDataset(trace, data.scheme, bindings))
     problem = FitProblem(fit_datasets)
     result = run_fit(problem)
 

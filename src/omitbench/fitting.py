@@ -437,6 +437,9 @@ def extract_linewidth(trace: SweepTrace) -> float:
     quadratic fitted to the trace edges, so a pump-off scan (pure cavity
     curvature, no mechanical feature) is rejected rather than measured.
     Crossings are located by linear interpolation between bracketing samples.
+    A narrow span reads low, because the edge fit absorbs the Lorentzian wings:
+    noiseless red and blue traces of 4001 points read 0.944 gamma_eff at +/- 3
+    gamma_eff, 0.985 at +/- 6, 0.995 at +/- 10 and 0.999 at +/- 25.
 
     Raises
     ------

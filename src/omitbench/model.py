@@ -294,12 +294,12 @@ def _blue_gate(pump: PumpConfig, cav: CavityParams, mech: MechanicalParams,
 
     The backaction strength follows |chi_c|^2 at the pump sideband, so the
     gate uses the cooperativity weighted by cavity-sideband alignment:
-    detuning the sideband from the cavity by d = Delta +/- omega_m reduces
-    the aligned cooperativity by (kappa/2)^2 / ((kappa/2)^2 + d^2).
+    detuning the blue pump's sideband from the cavity by d = Delta - omega_m
+    reduces the aligned cooperativity by (kappa/2)^2 / ((kappa/2)^2 + d^2).
     """
     if pump.scheme is PumpScheme.BLUE and n_cav > 0:
         coop = cooperativity(mech.g0, n_cav, cav.kappa, mech.gamma_m)
-        d = pump.delta + pump.scheme.sign * (-mech.omega_m)  # Delta - sign*omega_m
+        d = pump.delta - mech.omega_m
         half_kappa_sq = (0.5 * cav.kappa) ** 2
         c_loc = coop * half_kappa_sq / (half_kappa_sq + d * d)
         if c_loc >= 1.0:

@@ -146,15 +146,6 @@ def watts_to_dbm(p_watts: float) -> float:
     return 10.0 * math.log10(p_watts / 1e-3)
 
 
-def _pump_meta(pump: PumpConfig, cav: CavityParams, n_cav: float) -> dict:
-    return {
-        "scheme": pump.scheme.value,
-        "pump_detuning_hz": pump.delta / TWO_PI,
-        "pump_freq_hz": pump.omega_d(cav) / TWO_PI,
-        "n_cav": n_cav,
-    }
-
-
 def default_line_grid(pump: PumpConfig, cav: CavityParams, mech: MechanicalParams,
                       points: int = LINE_POINTS,
                       half_width_gamma_eff: float = LINE_HALF_WIDTH_GAMMA_EFF) -> np.ndarray:
@@ -162,8 +153,9 @@ def default_line_grid(pump: PumpConfig, cav: CavityParams, mech: MechanicalParam
 
     Spans +/- ``half_width_gamma_eff`` effective linewidths around the
     sideband at Omega = -sign * omega_m (red: +omega_m, blue: -omega_m); the
-    width is floored at the bare gamma_m so a quenched blue feature is still
-    resolved.  A window that reaches the pump (half-width >= omega_m) is an error.
+    width is floored at 5 % of the bare gamma_m so a blue feature quenched near
+    the instability still gets a window.  A window that reaches the pump
+    (half-width >= omega_m) is an error.
     """
     n_cav = intracavity_photon_number(pump, cav)
     coop = cooperativity(mech.g0, n_cav, cav.kappa, mech.gamma_m)
@@ -198,12 +190,14 @@ def simulate_line_cut(pump: PumpConfig, cav: CavityParams, mech: MechanicalParam
         Propagated from the model, annotated with the offending grid point.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
-    n_cav = intracavity_photon_number(pump, cav)
     s21 = probe_transmission(omega_grid, pump, cav, mech)
-    full_meta = _pump_meta(pump, cav, n_cav)
-    if meta:
-        full_meta.update(meta)
-    return SweepTrace(omega=omega_grid, s21=s21, meta=full_meta)
+    return SweepTrace(omega=omega_grid, s21=s21, meta={
+        "scheme": pump.scheme.value,
+        "pump_detuning_hz": pump.delta / TWO_PI,
+        "pump_freq_hz": pump.omega_d(cav) / TWO_PI,
+        "n_cav": intracavity_photon_number(pump, cav),
+        **(meta or {}),
+    })
 
 
 def simulate_map(scheme: PumpScheme, cav: CavityParams, mech: MechanicalParams,
@@ -221,13 +215,12 @@ def simulate_map(scheme: PumpScheme, cav: CavityParams, mech: MechanicalParams,
     SingularDenominator
         Propagated, annotated with the offending detuning row.
     """
-    if (n_cav is None) == (p_in is None):
-        raise ValueError("specify exactly one of n_cav or p_in")
+    base = PumpConfig(scheme, 0.0, n_cav=n_cav, p_in=p_in)
     delta_grid = np.asarray(delta_grid, dtype=float)
     omega_grid = np.asarray(omega_grid, dtype=float)
     rows = np.empty((len(delta_grid), len(omega_grid)))
     for r, delta in enumerate(delta_grid):
-        pump = PumpConfig(scheme, float(delta), n_cav=n_cav, p_in=p_in)
+        pump = replace(base, delta=float(delta))
         try:
             rows[r] = np.abs(probe_transmission(omega_grid, pump, cav, mech))
         except SingularDenominator as exc:
@@ -243,15 +236,12 @@ def emulate_protocol(scheme: PumpScheme, cav: CavityParams, mech: MechanicalPara
     """Narrow probe sweeps at ``PROTOCOL_STEPS`` stepped pump frequencies.
 
     One trace per pump step, each centred on the pump sideband and spanning
-    the default line-cut width; the pump detunings cover Delta = -/+ omega_m
-    +/- 2 kappa, so the set of absolute sweep centres omega_d -/+ omega_m
-    spans the microwave resonance.
+    the default line-cut width; the pump detunings are the default detuning
+    grid, Delta = -/+ omega_m +/- 2 kappa, so the set of absolute sweep
+    centres omega_d -/+ omega_m spans the microwave resonance.
     """
-    center = scheme.sign * mech.omega_m
-    half_span = MAP_DELTA_HALF_WIDTH_KAPPA * cav.kappa
-    deltas = center + np.linspace(-half_span, half_span, PROTOCOL_STEPS)
     traces = []
-    for delta in deltas:
+    for delta in default_delta_grid(scheme, cav, mech, points=PROTOCOL_STEPS):
         pump = PumpConfig(scheme, float(delta), n_cav=n_cav)
         grid = default_line_grid(pump, cav, mech)
         traces.append(simulate_line_cut(pump, cav, mech, grid))

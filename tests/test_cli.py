@@ -596,6 +596,8 @@ class TestErrorContract:
                             ("dbm-inf", "pump_power_dbm: -inf")):
             (tmp_path / f"{name}.csv").write_text(
                 (tmp_path / "tiny.csv").read_text().replace("n_cav: 1.3e6", drive))
+        (tmp_path / "wobble.csv").write_text(
+            (tmp_path / "word.csv").read_text().replace("5.9963e9,5.9962e9", "5.9963e9,5.9961e9"))
         for args in (["--config", "red.json", "--out", "red.csv", "simulate"],
                      ["--config", "base.json", "--out", "bare.csv", "simulate",
                       "--scheme", "red", "--ncav", "0", "--points", "2001"]):
@@ -690,6 +692,9 @@ class TestErrorContract:
         pytest.param("--config fit.json fit word.csv", 2,
                      "word.csv: n_cav must be a finite number >= 0, got 'abc'",
                      id="file-n-cav-word"),
+        pytest.param("--config fit.json fit wobble.csv", 2,
+                     "wobble.csv: pump frequency varies within the file",
+                     id="file-pump-varies-before-n-cav-word"),
         pytest.param("--config fit.json fit nan.csv", 2,
                      "nan.csv: n_cav must be a finite number >= 0, got nan", id="file-n-cav-nan"),
         pytest.param("--config fit.json fit negative.csv", 2,

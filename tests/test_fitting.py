@@ -392,6 +392,34 @@ class TestFit:
         assert np.isfinite(result.stderr["kappa[0]"])
         assert result.stderr["kappa[0]"] > 0
 
+    def test_singular_damped_solve_raises_the_damping_and_retries(self, monkeypatch):
+        # The first damped solve fails: that iteration takes no step and
+        # multiplies the damping by 10, and the next solve, from the same
+        # point, sees the larger damping on the diagonal and proceeds.
+        trace, cav, pump = make_trace(points=401)
+        bindings = fixed_bindings(cav, MECH, N_RED_MAX)
+        bindings["kappa"] = ParamBinding.free(
+            "kappa", 1.3 * cav.kappa, 0.3 * cav.kappa, 3.0 * cav.kappa)
+        problem = FitProblem([FitDataset(trace, PumpScheme.RED, bindings)])
+        systems = []
+
+        def flaky(a, b, _inner=np.linalg.solve):
+            systems.append((a, b))
+            if len(systems) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return _inner(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", flaky)
+        result = fit(problem)
+        (first, g1), (second, g2) = systems[:2]
+        assert np.array_equal(g1, g2)
+        lam = fitting.INITIAL_DAMPING
+        assert second[0, 0] / first[0, 0] == pytest.approx(
+            (1 + fitting.DAMPING_FACTOR * lam) / (1 + lam), rel=1e-12)
+        assert result.converged
+        assert result.iterations == len(systems)
+        assert result.values["kappa[0]"] == pytest.approx(cav.kappa, rel=1e-6)
+
     def test_one_kernel_evaluation_per_dataset_per_jacobian(self, monkeypatch):
         # Every dataset is evaluated once for the start point and once per
         # trial step, accepted or rejected; that one evaluation gives both the
@@ -579,6 +607,33 @@ class TestSparseJacobian:
         for j, slot in enumerate(prob.slot_names):
             assert np.array_equal(jac[others, j], ref[others, whole.slot_names.index(slot)])
         assert fit(prob).termination == "penalty"
+
+    def test_non_finite_transmission_gets_the_penalty(self, monkeypatch):
+        # One NaN sample from the kernel for dataset 0 rejects that whole
+        # dataset: penalty rows, zero Jacobian rows, and a fit that ends on
+        # the penalty; the other datasets keep their rows.
+        prob = joint_six_problem()
+        x = internal_start(prob)
+        r_ref, jac_ref = residuals(prob, fitting._to_physical(x, prob._log_flags))
+
+        def broken(omega, *args, _inner=fitting.probe_transmission):
+            s21 = _inner(omega, *args)
+            if omega is prob.datasets[0].offsets:
+                s21 = s21.copy()
+                s21[7] = np.nan
+            return s21
+
+        monkeypatch.setattr(fitting, "probe_transmission", broken)
+        r, jac = residuals(prob, fitting._to_physical(x, prob._log_flags))
+        rows, others = prob._rows[0], slice(prob._rows[1].start, None)
+        assert np.all(r[rows] == fitting.PENALTY_RESIDUAL)
+        assert not np.any(jac[rows])
+        assert np.array_equal(r[others], r_ref[others])
+        assert np.array_equal(jac[others], jac_ref[others])
+        result = fit(prob)
+        assert not result.converged
+        assert result.termination == "penalty"
+        assert np.all(np.isnan(result.residuals[rows]))
 
     def test_one_kernel_evaluation_per_dataset(self, monkeypatch):
         # The kernel computes both susceptibilities; the Jacobian reads

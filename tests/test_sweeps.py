@@ -30,6 +30,7 @@ from omitbench.model import (
 )
 from omitbench.sweeps import (
     LINE_POINTS,
+    PROTOCOL_STEPS,
     NoiseSpec,
     SweepMap,
     SweepTrace,
@@ -396,6 +397,17 @@ class TestProtocol:
         centers = np.array(centers)
         assert centers.min() <= cav.omega_c - cav.kappa
         assert centers.max() >= cav.omega_c + cav.kappa
+
+    @pytest.mark.parametrize("scheme, n_cav", [(PumpScheme.RED, N_RED_MAX),
+                                               (PumpScheme.BLUE, N_BLUE_MAX)],
+                             ids=["red", "blue"])
+    def test_pump_steps_are_the_default_delta_grid(self, scheme, n_cav):
+        # At kappa 84 kHz, centre + linspace(-half, half) would miss 7 of
+        # these 41 detunings by one ulp.
+        cav = cav_hz(84e3)
+        traces = emulate_protocol(scheme, cav, MECH, n_cav=n_cav)
+        grid = default_delta_grid(scheme, cav, MECH, points=PROTOCOL_STEPS)
+        assert [t.meta["pump_detuning_hz"] for t in traces] == (grid / TWO_PI).tolist()
 
     def test_edge_steps_lose_contrast(self):
         # Transparency window height at the extremal pump steps (sideband
