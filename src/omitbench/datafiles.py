@@ -363,9 +363,9 @@ def _json_number(v: float) -> float | None:
 
 def write_fit_report(path, result, problem, dataset_paths) -> None:
     """JSON fit report: fitted values in Hz (n_cav as a count), uncertainties,
-    rms residual, iteration count, convergence flag and termination reason,
-    plus the resolved parameter set of each dataset and the path it was read
-    from (``dataset_paths``, in dataset order).  The file is strict JSON:
+    rms residual, iteration and residual-evaluation counts, convergence flag and
+    termination reason, plus the resolved parameter set of each dataset and the
+    path it was read from (``dataset_paths``, in dataset order).  The file is strict JSON:
     a non-finite number, such as an undetermined standard error, is ``null``."""
     params = {}
     for slot, name in zip(problem.slot_names, problem.slot_params):
@@ -389,6 +389,7 @@ def write_fit_report(path, result, problem, dataset_paths) -> None:
         "converged": bool(result.converged),
         "termination": result.termination,
         "iterations": int(result.iterations),
+        "n_residual_evals": int(result.n_residual_evals),
         "rms_residual": _json_number(float(result.rms_residual)),
         "n_parameters": len(result.values),
         "parameters": params,

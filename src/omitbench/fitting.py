@@ -4,10 +4,10 @@ Supports the joint (shared-parameter) scheme used for multi-condition
 datasets: a single mechanical frequency and linewidth can be tied across all
 traces taken at one temperature while cavity frequency and linewidth stay
 free per trace.  Residuals are magnitude differences; the optimizer is a
-Levenberg-Marquardt loop with the exact Jacobian of |S21| (closed-form derivatives
-from the kernel's S21: one kernel evaluation per dataset per trial point gives both the
-residual and the Jacobian, rejected trials included), a flat penalty residual for
-trial points the model rejects, multiplicative damping from 1e-2 and bound projection.
+Levenberg-Marquardt loop with the exact Jacobian of |S21| (closed-form derivatives; one
+kernel evaluation per dataset per trial point gives its residual and its Jacobian block
+over the slots it reads), normal equations summed from the blocks, a flat penalty residual
+where the model rejects a trial point, damping from 1e-2 and bound projection.
 Positive rates (kappa, gamma_m, n_cav, g0) are optimized in log coordinates.
 """
 
@@ -206,6 +206,10 @@ class FitProblem:
         # Each dataset's rows in the stacked residual.
         ends = np.cumsum([0] + [ds.n_points for ds in self.datasets]).tolist()
         self._rows = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        # Each dataset's slots (its Jacobian block's rows) and their flat places in JᵀJ.
+        self._slots = [np.array(list(slot_of.values()), dtype=np.intp)
+                       for _, slot_of in self._params]
+        self._pairs = [(j[:, None] * len(slots) + j).ravel() for j in self._slots]
 
         bindings = list(slots.values())
         self.slot_names = tuple(slots)
@@ -230,15 +234,16 @@ class FitProblem:
                 for fixed, slot_of in self._params]
 
 
-def residuals(problem: FitProblem, values) -> tuple[np.ndarray, np.ndarray]:
+def residuals(problem: FitProblem, values) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Residual vector |S21_model| - |S21_data| over all datasets and its exact
-    Jacobian in internal coordinates (a log slot's column is scaled by its value).
+    Jacobian in internal coordinates (a log slot's row is scaled by its value).
 
     ``values`` holds the physical slot values (rad/s, counts) in
-    ``problem.slot_names`` order.  One kernel evaluation per dataset gives both;
-    a column is computed only for the datasets that read its slot.  Every point
-    of a dataset the model rejects (singular, unphysical or non-finite) gets the
-    finite penalty value and a zero Jacobian row.  chi_c/D = (1 - S)/(kappa_ext/2)
+    ``problem.slot_names`` order.  One kernel evaluation per dataset gives both; the
+    Jacobian is a dict {i: block}, dataset i's (k, n_points) derivatives by the k
+    slots it reads, in ``problem._params[i]`` order.  A dataset the model rejects
+    (singular, unphysical or non-finite) gets the finite penalty value at every
+    point and, like a dataset with no slot, no block.  chi_c/D = (1 - S)/(kappa_ext/2)
     comes from the kernel's S, D its denominator (upper sign blue), and only chi_m
     is computed again: dS/dchi_c = -(kappa_ext/2)/D^2, dS/dchi_m = -/+ (kappa_ext/2)
     g0^2 n chi_c^2/D^2, dS/dkappa_ext = -chi_c/(2D), dS/d(g0^2 n) = -/+ (kappa_ext/2)
@@ -247,9 +252,9 @@ def residuals(problem: FitProblem, values) -> tuple[np.ndarray, np.ndarray]:
     Re(conj(S) dS/dθ)/|S|, taken as 0 where S = 0.
     """
     r = np.full(problem.n_points, PENALTY_RESIDUAL)
-    jac = np.zeros((problem.n_points, problem.n_parameters))
-    for ds, p, (_, slot_of), rows in zip(problem.datasets, problem.dataset_values(values),
-                                         problem._params, problem._rows):
+    blocks = {}
+    for i, (ds, p, (_, slot_of), rows) in enumerate(zip(
+            problem.datasets, problem.dataset_values(values), problem._params, problem._rows)):
         try:
             cav = CavityParams(p["omega_c"], p["kappa"], p["kappa_ext"])
             mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
@@ -261,6 +266,8 @@ def residuals(problem: FitProblem, values) -> tuple[np.ndarray, np.ndarray]:
         except (SingularDenominator, ValueError):
             continue
         r[rows] = mag - ds.data
+        if not slot_of:
+            continue
         w = np.divide(s21.conj(), mag, out=np.zeros_like(s21), where=mag > 0)
         sign, coupling = ds.scheme.sign, p["g0"] ** 2 * p["n_cav"]
         chi_m = mechanical_susceptibility(ds.offsets, mech, ds.scheme)
@@ -278,9 +285,9 @@ def residuals(problem: FitProblem, values) -> tuple[np.ndarray, np.ndarray]:
         if slot_of.keys() & {"omega_m", "gamma_m"}:
             wm = coupling * wb * chi_m * chi_m
             grads.update(omega_m=wm.imag, gamma_m=0.5 * sign * wm.real)
-        for name, j in slot_of.items():
-            jac[rows, j] = grads[name] * p[name] if name in LOG_PARAMS else grads[name]
-    return r, jac
+        blocks[i] = np.array([grads[name] * p[name] if name in LOG_PARAMS else grads[name]
+                              for name in slot_of])
+    return r, blocks
 
 
 @dataclass
@@ -298,12 +305,14 @@ class FitResult:
     ``penalty`` (the model rejects a dataset at the returned point).
     ``converged`` is false for the last two.  ``residuals`` is the stacked
     residual vector at the returned point, NaN over each rejected dataset.
+    ``n_residual_evals`` counts calls to :func:`residuals`: the start and each trial.
     """
 
     values: dict[str, float]
     stderr: dict[str, float]
     rms_residual: float
     iterations: int
+    n_residual_evals: int
     converged: bool
     termination: str
     residuals: np.ndarray
@@ -335,8 +344,8 @@ def fit(problem: FitProblem) -> FitResult:
     with ``converged=False``; ``termination`` names the reason.  Each trial
     point costs one kernel evaluation per dataset, which gives both the
     residual and the Jacobian (a rejected trial's Jacobian goes unused); the
-    normal equations are formed at the start and after each accepted step, and
-    the standard errors reuse the last.
+    normal equations are summed from its per-dataset blocks at the start and
+    after each accepted step, and the standard errors reuse the last.
 
     Raises
     ------
@@ -351,14 +360,14 @@ def fit(problem: FitProblem) -> FitResult:
     lo = _to_internal(problem.lower_bounds, log_flags)
     hi = _to_internal(problem.upper_bounds, log_flags)
     x = np.clip(_to_internal(problem.init_values, log_flags), lo, hi)
-    r, jac = residuals(problem, _to_physical(x, log_flags))
+    r, blocks = residuals(problem, _to_physical(x, log_flags))
     rnorm = float(np.linalg.norm(r))
     history = [rnorm]
     lam = INITIAL_DAMPING
-    iterations = 0
+    iterations, n_evals = 0, 1
     termination = ("no_free_parameters" if n_par == 0 else
                    "zero_residual" if rnorm == 0.0 else None)
-    a, g = jac.T @ jac, jac.T @ r
+    a, g = _normal_equations(problem, r, blocks)
 
     while termination is None and iterations < MAX_ITERATIONS:
         iterations += 1
@@ -374,19 +383,20 @@ def fit(problem: FitProblem) -> FitResult:
         # coordinates (omega_c ~ 1e10 rad/s) mask meaningful motion in the
         # O(1) logarithmic coordinates and stop the loop early.
         step_rel = float(np.max(np.abs(x_trial - x) / (1.0 + np.abs(x))))
-        r_trial, jac_trial = residuals(problem, _to_physical(x_trial, log_flags))
+        r_trial, blocks_trial = residuals(problem, _to_physical(x_trial, log_flags))
+        n_evals += 1
         rt_norm = float(np.linalg.norm(r_trial))
         if rt_norm < rnorm:
             drop = (rnorm - rt_norm) / rnorm
-            x, r, jac, rnorm = x_trial, r_trial, jac_trial, rt_norm
+            x, r, blocks, rnorm = x_trial, r_trial, blocks_trial, rt_norm
             history.append(rnorm)
             lam /= DAMPING_FACTOR
-            a, g = jac.T @ jac, jac.T @ r
+            a, g = _normal_equations(problem, r, blocks)
             termination = ("reduction_tol" if drop < REL_REDUCTION_TOL else
                            "step_tol" if step_rel < REL_STEP_TOL else
                            "zero_residual" if rnorm == 0.0 else None)
         else:
-            del r_trial, jac_trial  # not alive beside the next trial's
+            del r_trial, blocks_trial  # not alive beside the next trial's
             lam *= DAMPING_FACTOR
             # Damping has pinned the proposal; no reducing step exists.
             termination = "step_tol" if step_rel < REL_STEP_TOL else None
@@ -398,12 +408,16 @@ def fit(problem: FitProblem) -> FitResult:
             r[rows], termination = math.nan, "penalty"
     converged = termination not in (None, "penalty")
     values_phys = _to_physical(x, log_flags)
-    stderr_phys = _uncertainties(jac, a, rnorm, values_phys, log_flags)
+    determined = np.zeros(n_par, dtype=bool)
+    for i, block in blocks.items():
+        determined[problem._slots[i]] |= np.any(block, axis=1)
+    stderr_phys = _uncertainties(n_pts, a, determined, rnorm, values_phys, log_flags)
     return FitResult(
         values=dict(zip(problem.slot_names, values_phys.tolist())),
         stderr=dict(zip(problem.slot_names, stderr_phys.tolist())),
         rms_residual=rnorm / math.sqrt(n_pts),
         iterations=iterations,
+        n_residual_evals=n_evals,
         converged=converged,
         termination=termination or "iteration_cap",
         residuals=r,
@@ -412,12 +426,22 @@ def fit(problem: FitProblem) -> FitResult:
     )
 
 
-def _uncertainties(jac, a, rnorm, values_phys, log_flags):
-    n_pts, n_par = jac.shape
+def _normal_equations(problem, r, blocks):
+    """JᵀJ and Jᵀr: each dataset's block G adds G Gᵀ and G r_i at its slots."""
+    a, g = np.zeros(problem.n_parameters ** 2), np.zeros(problem.n_parameters)
+    for i, block in blocks.items():
+        a[problem._pairs[i]] += (block @ block.T).ravel()
+        g[problem._slots[i]] += block @ r[problem._rows[i]]
+    return a.reshape(len(g), len(g)), g
+
+
+def _uncertainties(n_pts, a, determined, rnorm, values_phys, log_flags):
+    # NaN for a slot with no nonzero Jacobian entry (not diag(a) == 0, which can underflow).
+    n_par = len(a)
     s2 = rnorm ** 2 / (n_pts - n_par) if n_pts > n_par else math.nan
     cov = np.linalg.pinv(a) * s2
     sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    sig[~np.any(jac, axis=0)] = math.nan
+    sig[~determined] = math.nan
     # Delta method back to physical units for log-coordinate slots.
     return np.where(log_flags, sig * values_phys, sig)
 

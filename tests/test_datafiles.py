@@ -804,6 +804,7 @@ class TestFitReport:
         report = json.loads(path.read_text())
         assert report["converged"] is True
         assert report["iterations"] >= 1
+        assert report["n_residual_evals"] == result.n_residual_evals == 1 + result.iterations
         assert report["n_parameters"] == 1
         slot = report["parameters"]["kappa[0]"]
         assert slot["value_hz"] == pytest.approx(84e3, rel=0.05)

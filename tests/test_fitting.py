@@ -436,6 +436,29 @@ class TestFit:
         assert result.termination == "reduction_tol"
         assert result.iterations > len(result.cost_history) - 1  # a rejected trial
         assert len(calls) == len(prob.datasets) * (1 + result.iterations)
+        assert len(calls) == len(prob.datasets) * result.n_residual_evals
+
+    @pytest.mark.parametrize("failures", [0, 2])
+    def test_n_residual_evals_counts_every_residuals_call(self, monkeypatch, failures):
+        # The start point and each trial step; an iteration whose damped
+        # solve raises evaluates nothing.
+        prob, calls, solves = joint_six_problem(), [], []
+
+        def counted(*args, _inner=fitting.residuals):
+            calls.append(args)
+            return _inner(*args)
+
+        def flaky(a, b, _inner=np.linalg.solve):
+            solves.append(a)
+            if len(solves) <= failures:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return _inner(a, b)
+
+        monkeypatch.setattr(fitting, "residuals", counted)
+        monkeypatch.setattr(np.linalg, "solve", flaky)
+        result = fit(prob)
+        assert result.converged
+        assert result.n_residual_evals == len(calls) == 1 + result.iterations - failures
 
     @pytest.mark.parametrize("kappa_start", [1.1, 0.4], ids=["fitted", "rejected"])
     def test_residuals_are_those_at_the_returned_point(self, kappa_start):
@@ -528,9 +551,19 @@ def internal_start(problem):
     return fitting._to_internal(problem.init_values, problem._log_flags)
 
 
+def dense_residuals(problem, values):
+    """``residuals`` with its Jacobian blocks written into the dense
+    (n_points, n_parameters) matrix they stand for, zero where no block is."""
+    r, blocks = residuals(problem, values)
+    jac = np.zeros((problem.n_points, problem.n_parameters))
+    for i, block in blocks.items():
+        jac[problem._rows[i], list(problem._params[i][1].values())] = block.T
+    return r, jac
+
+
 def jacobian(problem, x):
-    """The Jacobian half of ``residuals`` at the internal point x."""
-    return residuals(problem, fitting._to_physical(x, problem._log_flags))[1]
+    """The dense Jacobian of ``residuals`` at the internal point x."""
+    return dense_residuals(problem, fitting._to_physical(x, problem._log_flags))[1]
 
 
 def central_difference(problem, x, steps):
@@ -602,6 +635,8 @@ class TestSparseJacobian:
         whole = joint_six_problem()
         jac = jacobian(prob, internal_start(prob))
         ref = jacobian(whole, internal_start(whole))
+        blocks = residuals(prob, fitting._to_physical(internal_start(prob), prob._log_flags))[1]
+        assert sorted(blocks) == [1, 2, 3, 4, 5]
         assert not np.any(jac[prob._rows[0]])
         others = slice(prob._rows[1].start, None)
         for j, slot in enumerate(prob.slot_names):
@@ -614,7 +649,7 @@ class TestSparseJacobian:
         # the penalty; the other datasets keep their rows.
         prob = joint_six_problem()
         x = internal_start(prob)
-        r_ref, jac_ref = residuals(prob, fitting._to_physical(x, prob._log_flags))
+        r_ref, jac_ref = dense_residuals(prob, fitting._to_physical(x, prob._log_flags))
 
         def broken(omega, *args, _inner=fitting.probe_transmission):
             s21 = _inner(omega, *args)
@@ -624,7 +659,7 @@ class TestSparseJacobian:
             return s21
 
         monkeypatch.setattr(fitting, "probe_transmission", broken)
-        r, jac = residuals(prob, fitting._to_physical(x, prob._log_flags))
+        r, jac = dense_residuals(prob, fitting._to_physical(x, prob._log_flags))
         rows, others = prob._rows[0], slice(prob._rows[1].start, None)
         assert np.all(r[rows] == fitting.PENALTY_RESIDUAL)
         assert not np.any(jac[rows])
@@ -634,6 +669,47 @@ class TestSparseJacobian:
         assert not result.converged
         assert result.termination == "penalty"
         assert np.all(np.isnan(result.residuals[rows]))
+
+    @pytest.mark.parametrize("at", ["start", "fitted"])
+    def test_normal_equations_equal_the_dense_products(self, at):
+        # Each shared slot is read by two datasets, so its entries of J^T J
+        # and J^T r are summed from two blocks.
+        prob = joint_six_problem()
+        values = (fitting._to_physical(internal_start(prob), prob._log_flags) if at == "start"
+                  else np.array(list(fit(prob).values.values())))
+        r, blocks = residuals(prob, values)
+        dense = dense_residuals(prob, values)[1]
+        assert sorted(blocks) == list(range(6))
+        assert all(block.shape == (4, 201) for block in blocks.values())
+        a, g = fitting._normal_equations(prob, r, blocks)
+        if at == "start":
+            np.testing.assert_allclose(a, dense.T @ dense, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(g, dense.T @ r, rtol=1e-12, atol=0)
+        # At the minimum J^T r cancels to ~0: relative to the sums of |terms|.
+        absd = np.abs(dense)
+        assert np.all(np.abs(a - dense.T @ dense) <= 1e-12 * (absd.T @ absd))
+        assert np.all(np.abs(g - dense.T @ r) <= 1e-12 * (absd.T @ np.abs(r)))
+        readers = (dense != 0).astype(int)
+        assert np.array_equal(a != 0, readers.T @ readers > 0)
+
+    def test_dataset_with_every_slot_fixed_adds_no_block(self):
+        # Trace 1 holds every parameter fixed: its residual rows are computed
+        # but it adds no block, and the fit of trace 0's kappa still runs.
+        pumped, cav, _ = make_trace(points=201, noise_sigma=0.01, seed=3)
+        held, _, _ = make_trace(points=201, noise_sigma=0.01, seed=4)
+        free = fixed_bindings(cav, MECH, N_RED_MAX)
+        free["kappa"] = ParamBinding.free(
+            "kappa", 1.1 * cav.kappa, 0.3 * cav.kappa, 3 * cav.kappa)
+        fixed = FitDataset(held, PumpScheme.RED, fixed_bindings(cav, MECH, N_RED_MAX))
+        prob = FitProblem([FitDataset(pumped, PumpScheme.RED, free), fixed])
+        r, blocks = residuals(prob, prob.init_values)
+        assert list(blocks) == [0] and blocks[0].shape == (1, 201)
+        assert np.array_equal(r[prob._rows[1]], residuals(FitProblem([fixed]), [])[0])
+        assert residuals(FitProblem([fixed]), [])[1] == {}
+        result = fit(prob)
+        assert result.converged
+        assert result.values["kappa[0]"] == pytest.approx(cav.kappa, rel=0.02)
+        assert np.isfinite(result.stderr["kappa[0]"]) and result.stderr["kappa[0]"] > 0
 
     def test_one_kernel_evaluation_per_dataset(self, monkeypatch):
         # The kernel computes both susceptibilities; the Jacobian reads
@@ -672,10 +748,12 @@ class TestSparseJacobian:
         result = fit(prob)
         assert norms[-1] > result.cost_history[-1]
         values = np.array(list(result.values.values()))
-        r, jac = residuals(prob, values)
+        r, blocks = residuals(prob, values)
         assert np.array_equal(r, result.residuals)
-        expected = fitting._uncertainties(jac, jac.T @ jac, float(np.linalg.norm(r)),
-                                          values, prob._log_flags)
+        a, _ = fitting._normal_equations(prob, r, blocks)
+        determined = np.any(dense_residuals(prob, values)[1], axis=0)
+        expected = fitting._uncertainties(prob.n_points, a, determined,
+                                          float(np.linalg.norm(r)), values, prob._log_flags)
         assert np.array_equal(list(result.stderr.values()), expected, equal_nan=True)
 
     def test_zero_where_s21_vanishes(self):
