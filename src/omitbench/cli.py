@@ -414,7 +414,8 @@ def photons(state: CliState, power_dbm, power_w, detuning_hz):
 @click.pass_obj
 def linewidth(state: CliState, dataset):
     """Print the FWHM (Hz) of the feature in a dataset file; with a config,
-    also the cooperativity implied by the backaction width law."""
+    also the cooperativity implied by the backaction width law, which holds
+    only for a sideband-aligned pump."""
     data = read_dataset(dataset)
     fwhm = extract_linewidth(_dataset_trace(dataset, data))
     click.echo(f"FWHM = {fwhm / TWO_PI:.6f} Hz")

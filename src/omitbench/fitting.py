@@ -6,8 +6,8 @@ traces taken at one temperature while cavity frequency and linewidth stay
 free per trace.  Residuals are magnitude differences; the optimizer is a
 Levenberg-Marquardt loop with the exact Jacobian of |S21| (closed-form derivatives; one
 kernel evaluation per dataset per trial point gives its residual and its Jacobian block
-over the slots it reads), normal equations summed from the blocks, a flat penalty residual
-where the model rejects a trial point, damping from 1e-2 and bound projection.
+over the slots it reads), normal equations summed from the blocks and scaled, a flat penalty
+residual where the model rejects a trial point, damping from 1e-2 and bound projection.
 Positive rates (kappa, gamma_m, n_cav, g0) are optimized in log coordinates.
 """
 
@@ -295,9 +295,9 @@ class FitResult:
     """Outcome of :func:`fit`.
 
     ``values``/``stderr`` are keyed by slot name and hold physical (angular)
-    units; uncertainties come from the linearized normal equations at the
-    optimum scaled by the reduced residual variance; a slot the residuals do
-    not depend on (an exactly zero Jacobian column) has a NaN stderr.
+    units; uncertainties come from the scaled normal equations at the returned
+    point times the reduced residual variance; a slot with a zero diagonal in
+    JᵀJ (no dependence, or squares that underflow) has a NaN stderr.
     ``cost_history`` is the sequence of accepted residual norms (monotone
     non-increasing).  ``termination`` says why the fit stopped:
     ``reduction_tol`` or ``step_tol`` (a relative tolerance was met),
@@ -335,8 +335,9 @@ def _to_physical(x, log_flags):
 def fit(problem: FitProblem) -> FitResult:
     """Damped least squares over the problem's free and shared slots.
 
-    Levenberg-Marquardt with the exact Jacobian, damping divided
-    (multiplied) by 10 on accepted (rejected) steps from 1e-2, bound handling
+    Levenberg-Marquardt with the exact Jacobian on normal equations scaled by
+    their diagonal (Marquardt's damping by λ diag(JᵀJ)), λ divided (multiplied)
+    by 10 on accepted (rejected) steps from 1e-2, bound handling
     by projection, and convergence once the relative residual-norm reduction
     or the relative parameter step drops below 1e-10, capped at 200
     iterations.  On hitting the cap, or when a dataset's residual at the
@@ -344,8 +345,8 @@ def fit(problem: FitProblem) -> FitResult:
     with ``converged=False``; ``termination`` names the reason.  Each trial
     point costs one kernel evaluation per dataset, which gives both the
     residual and the Jacobian (a rejected trial's Jacobian goes unused); the
-    normal equations are summed from its per-dataset blocks at the start and
-    after each accepted step, and the standard errors reuse the last.
+    scaled normal equations are summed from its per-dataset blocks at the start
+    and after each accepted step, and the standard errors reuse the last.
 
     Raises
     ------
@@ -367,14 +368,12 @@ def fit(problem: FitProblem) -> FitResult:
     iterations, n_evals = 0, 1
     termination = ("no_free_parameters" if n_par == 0 else
                    "zero_residual" if rnorm == 0.0 else None)
-    a, g = _normal_equations(problem, r, blocks)
+    a, g, s = _normal_equations(problem, r, blocks)
 
     while termination is None and iterations < MAX_ITERATIONS:
         iterations += 1
-        diag = np.diag(a).copy()
-        diag[diag <= 0] = 1.0
         try:
-            step = np.linalg.solve(a + lam * np.diag(diag), -g)
+            step = s * np.linalg.solve(a + lam * np.eye(n_par), -g)
         except np.linalg.LinAlgError:
             lam *= DAMPING_FACTOR
             continue
@@ -391,7 +390,7 @@ def fit(problem: FitProblem) -> FitResult:
             x, r, blocks, rnorm = x_trial, r_trial, blocks_trial, rt_norm
             history.append(rnorm)
             lam /= DAMPING_FACTOR
-            a, g = _normal_equations(problem, r, blocks)
+            a, g, s = _normal_equations(problem, r, blocks)
             termination = ("reduction_tol" if drop < REL_REDUCTION_TOL else
                            "step_tol" if step_rel < REL_STEP_TOL else
                            "zero_residual" if rnorm == 0.0 else None)
@@ -408,10 +407,7 @@ def fit(problem: FitProblem) -> FitResult:
             r[rows], termination = math.nan, "penalty"
     converged = termination not in (None, "penalty")
     values_phys = _to_physical(x, log_flags)
-    determined = np.zeros(n_par, dtype=bool)
-    for i, block in blocks.items():
-        determined[problem._slots[i]] |= np.any(block, axis=1)
-    stderr_phys = _uncertainties(n_pts, a, determined, rnorm, values_phys, log_flags)
+    stderr_phys = _uncertainties(n_pts, a, s, rnorm, values_phys, log_flags)
     return FitResult(
         values=dict(zip(problem.slot_names, values_phys.tolist())),
         stderr=dict(zip(problem.slot_names, stderr_phys.tolist())),
@@ -427,21 +423,23 @@ def fit(problem: FitProblem) -> FitResult:
 
 
 def _normal_equations(problem, r, blocks):
-    """JᵀJ and Jᵀr: each dataset's block G adds G Gᵀ and G r_i at its slots."""
+    """JᵀJ and Jᵀr, each dataset's block G adding G Gᵀ and G r_i at its slots, scaled
+    once by S = diag(JᵀJ)^(-1/2) (1 where that diagonal is 0): S JᵀJ S, S Jᵀr and S."""
     a, g = np.zeros(problem.n_parameters ** 2), np.zeros(problem.n_parameters)
     for i, block in blocks.items():
         a[problem._pairs[i]] += (block @ block.T).ravel()
         g[problem._slots[i]] += block @ r[problem._rows[i]]
-    return a.reshape(len(g), len(g)), g
+    d = a[::len(g) + 1]
+    s = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
+    return s[:, None] * a.reshape(len(g), len(g)) * s, s * g, s
 
 
-def _uncertainties(n_pts, a, determined, rnorm, values_phys, log_flags):
-    # NaN for a slot with no nonzero Jacobian entry (not diag(a) == 0, which can underflow).
+def _uncertainties(n_pts, a, s, rnorm, values_phys, log_flags):
     n_par = len(a)
     s2 = rnorm ** 2 / (n_pts - n_par) if n_pts > n_par else math.nan
-    cov = np.linalg.pinv(a) * s2
-    sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    sig[~determined] = math.nan
+    sig = s * np.sqrt(np.clip(np.diag(np.linalg.pinv(a)) * s2, 0.0, None))
+    # A zero diagonal: the residuals do not depend on the slot, or its squares underflow.
+    sig[np.diag(a) == 0] = math.nan
     # Delta method back to physical units for log-coordinate slots.
     return np.where(log_flags, sig * values_phys, sig)
 

@@ -45,8 +45,6 @@ def _colormap(frac: np.ndarray) -> np.ndarray:
 
 def _encode_png(rgb: np.ndarray) -> bytes:
     """Encode an (H, W, 3) uint8 array as a PNG byte string."""
-    if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
-        raise ValueError("expected an (H, W, 3) uint8 array")
     height, width = rgb.shape[:2]
 
     def chunk(tag: bytes, payload: bytes) -> bytes:

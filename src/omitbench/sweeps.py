@@ -48,6 +48,9 @@ MAP_DELTA_POINTS = 201
 MAP_OMEGA_POINTS = 401
 MAP_DELTA_HALF_WIDTH_KAPPA = 2.0
 PROTOCOL_STEPS = 41
+# Metadata that the sweeps and add_noise record themselves; a caller's meta may not set it.
+_RECORDED_META = ("scheme", "pump_detuning_hz", "pump_freq_hz", "n_cav", "pump_power_w",
+                  "noise_sigma", "noise_seed")
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,10 @@ def simulate_line_cut(pump: PumpConfig, cav: CavityParams, mech: MechanicalParam
     ------
     SingularDenominator
         Propagated from the model, annotated with the offending grid point.
+    ValueError
+        If ``meta`` sets a key that omitbench records itself (scheme, pump, drive, noise).
     """
+    meta = _caller_meta(meta)
     omega_grid = np.asarray(omega_grid, dtype=float)
     s21 = probe_transmission(omega_grid, pump, cav, mech)
     return SweepTrace(omega=omega_grid, s21=s21, meta={
@@ -196,7 +202,7 @@ def simulate_line_cut(pump: PumpConfig, cav: CavityParams, mech: MechanicalParam
         "pump_detuning_hz": pump.delta / TWO_PI,
         "pump_freq_hz": pump.omega_d(cav) / TWO_PI,
         "n_cav": intracavity_photon_number(pump, cav),
-        **(meta or {}),
+        **meta,
     })
 
 
@@ -214,7 +220,10 @@ def simulate_map(scheme: PumpScheme, cav: CavityParams, mech: MechanicalParams,
     ------
     SingularDenominator
         Propagated, annotated with the offending detuning row.
+    ValueError
+        If ``meta`` sets a key that omitbench records itself (scheme, pump, drive, noise).
     """
+    meta = _caller_meta(meta)
     base = PumpConfig(scheme, 0.0, n_cav=n_cav, p_in=p_in)
     delta_grid = np.asarray(delta_grid, dtype=float)
     omega_grid = np.asarray(omega_grid, dtype=float)
@@ -228,7 +237,13 @@ def simulate_map(scheme: PumpScheme, cav: CavityParams, mech: MechanicalParams,
                 f"map row {r} (detuning {delta / TWO_PI:.6f} Hz): {exc}") from exc
     drive = {"n_cav": float(n_cav)} if n_cav is not None else {"pump_power_w": float(p_in)}
     return SweepMap(delta=delta_grid, omega=omega_grid, s21_mag=rows,
-                    meta={"scheme": scheme.value, **drive, **(meta or {})})
+                    meta={"scheme": scheme.value, **drive, **meta})
+
+
+def _caller_meta(meta: dict | None) -> dict:
+    if clash := [key for key in meta or {} if key in _RECORDED_META]:
+        raise ValueError(f"meta key {clash[0]!r}: omitbench records this key itself")
+    return meta or {}
 
 
 def emulate_protocol(scheme: PumpScheme, cav: CavityParams, mech: MechanicalParams, *,

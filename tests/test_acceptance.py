@@ -45,6 +45,7 @@ from omitbench.sweeps import (
     simulate_line_cut,
     simulate_map,
 )
+from test_fitting import dense_residuals
 from test_sweeps import oracle_fwhm
 
 F_C = 6e9
@@ -400,6 +401,23 @@ def test_joint_fit_draw_606_lands_on_the_truth():
     misses = {slot: value for slot, value in result.values.items()
               if not abs(value - truths[slot][0]) <= truths[slot][1]}
     assert misses == {}
+
+
+def test_joint_fit_draw_28845_stderr_independent_of_summation_order():
+    # Draw 28845 (seed 600 of the joint_fit benchmark): its J^T J has condition
+    # number 7.8e12, and 8.5 once rows and columns are divided by sqrt(diag).
+    # The fit sums J^T J block by block; the standard errors from the dense
+    # D^T D, scaled the same way and inverted, agree to 1e-12.
+    problem, _ = _joint_problem_for_seed(28845)
+    result = fit(problem)
+    values = np.array(list(result.values.values()))
+    r, dense = dense_residuals(problem, values)
+    a = dense.T @ dense
+    scale = 1.0 / np.sqrt(np.diag(a))
+    variance = np.diag(np.linalg.inv(scale[:, None] * a * scale)) * scale ** 2
+    sig = np.sqrt(variance * np.sum(r ** 2) / (problem.n_points - problem.n_parameters))
+    expected = np.where(problem._log_flags, sig * values, sig)
+    np.testing.assert_allclose(list(result.stderr.values()), expected, rtol=1e-12, atol=0)
 
 
 def test_10_photon_calibration_through_cli(tmp_path):

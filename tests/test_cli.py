@@ -567,6 +567,10 @@ class TestErrorContract:
                      noise={"sigma": 0.01, "seed": 3.0})
         write_config(tmp_path, "note.json", pumps=[{"scheme": "red", "n_cav": 1.3e6}],
                      meta={"note": "line one\nline two"})
+        write_config(tmp_path, "relabel.json", pumps=[{"scheme": "red", "n_cav": 1.3e6}],
+                     meta={"run": "a", "scheme": "blue", "n_cav": 5})
+        write_config(tmp_path, "renoise.json", pumps=[{"scheme": "red", "n_cav": 1.3e6}],
+                     meta={"noise_seed": 9})
         write_config(tmp_path, "loud.json", pumps=[{"scheme": "red", "power_dbm": 1e6}])
         write_config(tmp_path, "drives.json", pumps=[
             {"scheme": "red", "n_cav": 1.3e6}, {"scheme": "blue", "n_cav": 1e5, "power_w": 1e-12}])
@@ -632,6 +636,15 @@ class TestErrorContract:
         pytest.param("--config note.json --out x.csv simulate", 2,
                      "meta key 'note': cannot write a line break, or a ':' in a key",
                      id="value-meta-line-break"),
+        pytest.param("--config relabel.json --out x.csv simulate", 2,
+                     "meta key 'scheme': omitbench records this key itself",
+                     id="value-meta-descriptor-key"),
+        pytest.param("--config renoise.json --out x.csv simulate", 2,
+                     "meta key 'noise_seed': omitbench records this key itself",
+                     id="value-meta-noise-key"),
+        pytest.param("--config relabel.json --out x.csv map", 2,
+                     "meta key 'scheme': omitbench records this key itself",
+                     id="value-map-meta-descriptor-key"),
         pytest.param("--config red.json --out x.csv simulate --points 1", 2,
                      "--points must be >= 2", id="value-one-point"),
         pytest.param("--config red.json --out x.csv simulate --points 0", 2,

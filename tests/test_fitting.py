@@ -681,7 +681,12 @@ class TestSparseJacobian:
         dense = dense_residuals(prob, values)[1]
         assert sorted(blocks) == list(range(6))
         assert all(block.shape == (4, 201) for block in blocks.values())
-        a, g = fitting._normal_equations(prob, r, blocks)
+        a_scaled, g_scaled, scale = fitting._normal_equations(prob, r, blocks)
+        # S = diag(J^T J)^(-1/2) scales both once; undo it to compare J^T J and J^T r.
+        np.testing.assert_allclose(scale, 1 / np.sqrt(np.diag(dense.T @ dense)),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.diag(a_scaled), 1.0, rtol=1e-14, atol=0)
+        a, g = a_scaled / np.outer(scale, scale), g_scaled / scale
         if at == "start":
             np.testing.assert_allclose(a, dense.T @ dense, rtol=1e-12, atol=0)
             np.testing.assert_allclose(g, dense.T @ r, rtol=1e-12, atol=0)
@@ -750,10 +755,11 @@ class TestSparseJacobian:
         values = np.array(list(result.values.values()))
         r, blocks = residuals(prob, values)
         assert np.array_equal(r, result.residuals)
-        a, _ = fitting._normal_equations(prob, r, blocks)
+        a, _, scale = fitting._normal_equations(prob, r, blocks)
         determined = np.any(dense_residuals(prob, values)[1], axis=0)
-        expected = fitting._uncertainties(prob.n_points, a, determined,
+        expected = fitting._uncertainties(prob.n_points, a, scale,
                                           float(np.linalg.norm(r)), values, prob._log_flags)
+        assert np.array_equal(np.isnan(expected), ~determined)
         assert np.array_equal(list(result.stderr.values()), expected, equal_nan=True)
 
     def test_zero_where_s21_vanishes(self):
@@ -793,6 +799,31 @@ class TestSparseJacobian:
         assert result.converged
         assert np.isnan(result.stderr["g0[1]"])
         for slot in ("kappa[0]", "kappa[1]", "gamma_m@t"):
+            assert np.isfinite(result.stderr[slot]) and result.stderr[slot] > 0
+
+    def test_stderr_nan_where_the_jacobian_squares_underflow(self):
+        # n_cav held at 1e-300 leaves g0's Jacobian entries near 1e-306: not
+        # zero, but their squares underflow to a zero diagonal of J^T J, so
+        # g0 is not determined and its stderr must not read 0.
+        cav = cav_hz(84e3)
+        pump = PumpConfig(PumpScheme.RED, -MECH.omega_m, n_cav=1e-300)
+        grid = MECH.omega_m + np.linspace(-2 * cav.kappa, 2 * cav.kappa, 401)
+        trace = add_noise(simulate_line_cut(pump, cav, MECH, grid), NoiseSpec(0.01, seed=1))
+        bindings = fixed_bindings(cav, MECH, 1e-300)
+        bindings["omega_c"] = ParamBinding.free(
+            "omega_c", cav.omega_c + 0.1 * cav.kappa, cav.omega_c - cav.kappa,
+            cav.omega_c + cav.kappa)
+        bindings["kappa"] = ParamBinding.free(
+            "kappa", 1.05 * cav.kappa, 0.5 * cav.kappa, 2 * cav.kappa)
+        bindings["g0"] = ParamBinding.free("g0", MECH.g0, MECH.g0 / 2, 2 * MECH.g0)
+        prob = FitProblem([FitDataset(trace, PumpScheme.RED, bindings)])
+        result = fit(prob)
+        assert result.converged
+        g0 = jacobian(prob, fitting._to_internal(list(result.values.values()), prob._log_flags))[
+            :, prob.slot_names.index("g0[0]")]
+        assert 0 < np.max(np.abs(g0)) < 1e-300 and np.sum(g0 ** 2) == 0
+        assert np.isnan(result.stderr["g0[0]"])
+        for slot in ("omega_c[0]", "kappa[0]"):
             assert np.isfinite(result.stderr[slot]) and result.stderr[slot] > 0
 
 

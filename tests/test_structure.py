@@ -19,7 +19,8 @@ and every omitbench name that ``bench/workloads.py`` imports or reads off an
 omitbench module exists, so a rename fails here and not only in a benchmark run.
 
 Documentation checks: ``pyproject.toml`` declares the package's
-``__version__``, and the README's library example runs.
+``__version__``, the README's library example runs, and the README lists
+exactly the metadata keys that omitbench records on its traces and maps.
 """
 
 import ast
@@ -30,9 +31,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import omitbench
+from omitbench.model import TWO_PI, CavityParams, MechanicalParams, PumpConfig, PumpScheme
+from omitbench.sweeps import NoiseSpec, add_noise, simulate_line_cut, simulate_map
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "omitbench"
@@ -203,3 +207,19 @@ def test_readme_library_example_runs(capsys):
     peak, coop = map(float, capsys.readouterr().out.split())
     assert peak == pytest.approx(0.76913, rel=1e-4)
     assert coop == pytest.approx(1.26885, rel=1e-4)
+
+
+def test_readme_lists_the_recorded_meta_keys():
+    # The keys on a simulated, noised trace and on an n_cav map and a p_in map.
+    cav = CavityParams.from_hz(6e9, 84e3, 44e3)
+    mech = MechanicalParams.from_hz(3.8e6, 15.3, 0.56)
+    grid = mech.omega_m + TWO_PI * np.linspace(-100.0, 100.0, 5)
+    trace = simulate_line_cut(PumpConfig(PumpScheme.RED, -mech.omega_m, n_cav=1e5), cav, mech,
+                              grid)
+    metas = [add_noise(trace, NoiseSpec(0.01, seed=1)).meta] + [
+        simulate_map(PumpScheme.RED, cav, mech, [-mech.omega_m], grid, **drive).meta
+        for drive in ({"n_cav": 1e5}, {"p_in": 1e-9})]
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"omitbench records these keys\s+itself, so `meta` cannot set them"
+                       r" \(exit 2, naming the key\):(.*?)\.\n", text, re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", listed)) == set().union(*metas)
