@@ -6,8 +6,8 @@ traces taken at one temperature while cavity frequency and linewidth stay
 free per trace.  Residuals are magnitude differences; the optimizer is a
 Levenberg-Marquardt loop with the exact Jacobian of |S21| (closed-form derivatives; one
 kernel evaluation per dataset per trial point gives its residual and its Jacobian block
-over the slots it reads), normal equations summed from the blocks and scaled, a flat penalty
-residual where the model rejects a trial point, damping from 1e-2 and bound projection.
+over the slots it reads), normal equations summed from the blocks, scaled and decomposed,
+a flat penalty residual where the model rejects a point, damping from 1e-2 and bound projection.
 Positive rates (kappa, gamma_m, n_cav, g0) are optimized in log coordinates.
 """
 
@@ -60,6 +60,8 @@ INITIAL_DAMPING = 1e-2
 DAMPING_FACTOR = 10.0
 REL_REDUCTION_TOL = 1e-10
 REL_STEP_TOL = 1e-10
+# Eigenvalues of the scaled normal matrix (unit diagonal) below this: directions not determined.
+RANK_TOL = 1e-10
 MIN_POINTS_ACROSS_FWHM = 20
 
 
@@ -295,9 +297,10 @@ class FitResult:
     """Outcome of :func:`fit`.
 
     ``values``/``stderr`` are keyed by slot name and hold physical (angular)
-    units; uncertainties come from the scaled normal equations at the returned
-    point times the reduced residual variance; a slot with a zero diagonal in
-    JᵀJ (no dependence, or squares that underflow) has a NaN stderr.
+    units; uncertainties come from the eigendecomposition of the scaled normal
+    matrix at the returned point times the reduced residual variance; a slot with
+    weight in a direction cut by RANK_TOL (no dependence, squares that underflow,
+    or g0 and n_cav fitted together) has a NaN stderr.
     ``cost_history`` is the sequence of accepted residual norms (monotone
     non-increasing).  ``termination`` says why the fit stopped:
     ``reduction_tol`` or ``step_tol`` (a relative tolerance was met),
@@ -305,7 +308,7 @@ class FitResult:
     ``penalty`` (the model rejects a dataset at the returned point).
     ``converged`` is false for the last two.  ``residuals`` is the stacked
     residual vector at the returned point, NaN over each rejected dataset.
-    ``n_residual_evals`` counts calls to :func:`residuals`: the start and each trial.
+    ``n_residual_evals`` counts calls to :func:`residuals`: 1 + ``iterations``.
     """
 
     values: dict[str, float]
@@ -313,11 +316,14 @@ class FitResult:
     rms_residual: float
     iterations: int
     n_residual_evals: int
-    converged: bool
     termination: str
     residuals: np.ndarray
     cost_history: list[float] = field(default_factory=list)
     dataset_params: list[dict[str, float]] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.termination not in ("iteration_cap", "penalty")
 
 
 def _to_internal(v, log_flags):
@@ -336,17 +342,17 @@ def fit(problem: FitProblem) -> FitResult:
     """Damped least squares over the problem's free and shared slots.
 
     Levenberg-Marquardt with the exact Jacobian on normal equations scaled by
-    their diagonal (Marquardt's damping by λ diag(JᵀJ)), λ divided (multiplied)
-    by 10 on accepted (rejected) steps from 1e-2, bound handling
-    by projection, and convergence once the relative residual-norm reduction
-    or the relative parameter step drops below 1e-10, capped at 200
-    iterations.  On hitting the cap, or when a dataset's residual at the
-    returned point is the penalty, the best parameters so far are returned
-    with ``converged=False``; ``termination`` names the reason.  Each trial
-    point costs one kernel evaluation per dataset, which gives both the
-    residual and the Jacobian (a rejected trial's Jacobian goes unused); the
-    scaled normal equations are summed from its per-dataset blocks at the start
-    and after each accepted step, and the standard errors reuse the last.
+    their diagonal (Marquardt's damping by λ diag(JᵀJ)), steps in the eigenbasis of
+    the scaled matrix without its directions under RANK_TOL, λ divided (multiplied)
+    by 10 on accepted (rejected) steps from 1e-2, bound handling by projection, and
+    convergence once the relative residual-norm reduction or the relative parameter
+    step drops below 1e-10, capped at 200 iterations.  On hitting the cap, or when
+    a dataset's residual at the returned point is the penalty, the best parameters
+    so far are returned with ``converged=False``; ``termination`` names the reason.
+    Each trial point costs one kernel evaluation per dataset, which gives both the
+    residual and the Jacobian (a rejected trial's Jacobian goes unused); the scaled
+    normal equations are summed from its per-dataset blocks and decomposed at the
+    start and after each accepted step, and the standard errors reuse the last.
 
     Raises
     ------
@@ -365,32 +371,27 @@ def fit(problem: FitProblem) -> FitResult:
     rnorm = float(np.linalg.norm(r))
     history = [rnorm]
     lam = INITIAL_DAMPING
-    iterations, n_evals = 0, 1
+    iterations = 0
     termination = ("no_free_parameters" if n_par == 0 else
                    "zero_residual" if rnorm == 0.0 else None)
-    a, g, s = _normal_equations(problem, r, blocks)
+    w, v, g, s = _normal_equations(problem, r, blocks)
 
     while termination is None and iterations < MAX_ITERATIONS:
         iterations += 1
-        try:
-            step = s * np.linalg.solve(a + lam * np.eye(n_par), -g)
-        except np.linalg.LinAlgError:
-            lam *= DAMPING_FACTOR
-            continue
+        step = s * (v @ ((v.T @ -g) / (w + lam)))
         x_trial = np.clip(x + step, lo, hi)
         # Per-parameter relative step: a vector norm would let large linear
         # coordinates (omega_c ~ 1e10 rad/s) mask meaningful motion in the
         # O(1) logarithmic coordinates and stop the loop early.
         step_rel = float(np.max(np.abs(x_trial - x) / (1.0 + np.abs(x))))
         r_trial, blocks_trial = residuals(problem, _to_physical(x_trial, log_flags))
-        n_evals += 1
         rt_norm = float(np.linalg.norm(r_trial))
         if rt_norm < rnorm:
             drop = (rnorm - rt_norm) / rnorm
             x, r, blocks, rnorm = x_trial, r_trial, blocks_trial, rt_norm
             history.append(rnorm)
             lam /= DAMPING_FACTOR
-            a, g, s = _normal_equations(problem, r, blocks)
+            w, v, g, s = _normal_equations(problem, r, blocks)
             termination = ("reduction_tol" if drop < REL_REDUCTION_TOL else
                            "step_tol" if step_rel < REL_STEP_TOL else
                            "zero_residual" if rnorm == 0.0 else None)
@@ -405,16 +406,14 @@ def fit(problem: FitProblem) -> FitResult:
     for rows in problem._rows:
         if np.all(r[rows] == PENALTY_RESIDUAL):
             r[rows], termination = math.nan, "penalty"
-    converged = termination not in (None, "penalty")
     values_phys = _to_physical(x, log_flags)
-    stderr_phys = _uncertainties(n_pts, a, s, rnorm, values_phys, log_flags)
+    stderr_phys = _uncertainties(n_pts, w, v, s, rnorm, values_phys, log_flags)
     return FitResult(
         values=dict(zip(problem.slot_names, values_phys.tolist())),
         stderr=dict(zip(problem.slot_names, stderr_phys.tolist())),
         rms_residual=rnorm / math.sqrt(n_pts),
         iterations=iterations,
-        n_residual_evals=n_evals,
-        converged=converged,
+        n_residual_evals=1 + iterations,
         termination=termination or "iteration_cap",
         residuals=r,
         cost_history=history,
@@ -424,22 +423,25 @@ def fit(problem: FitProblem) -> FitResult:
 
 def _normal_equations(problem, r, blocks):
     """JᵀJ and Jᵀr, each dataset's block G adding G Gᵀ and G r_i at its slots, scaled
-    once by S = diag(JᵀJ)^(-1/2) (1 where that diagonal is 0): S JᵀJ S, S Jᵀr and S."""
+    once by S = diag(JᵀJ)^(-1/2) (1 where that diagonal is 0): the eigenvalues w >= RANK_TOL
+    of ã = S JᵀJ S with their eigenvectors V (columns), S Jᵀr and S."""
     a, g = np.zeros(problem.n_parameters ** 2), np.zeros(problem.n_parameters)
     for i, block in blocks.items():
-        a[problem._pairs[i]] += (block @ block.T).ravel()
+        # With a copy numpy calls gemm, faster than syrk on these (k, n_points) blocks.
+        a[problem._pairs[i]] += (block @ block.copy().T).ravel()
         g[problem._slots[i]] += block @ r[problem._rows[i]]
     d = a[::len(g) + 1]
     s = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
-    return s[:, None] * a.reshape(len(g), len(g)) * s, s * g, s
+    w, v = np.linalg.eigh(s[:, None] * a.reshape(len(g), len(g)) * s)
+    return w[w >= RANK_TOL], v[:, w >= RANK_TOL], s * g, s
 
 
-def _uncertainties(n_pts, a, s, rnorm, values_phys, log_flags):
-    n_par = len(a)
+def _uncertainties(n_pts, w, v, s, rnorm, values_phys, log_flags):
+    n_par = len(s)
     s2 = rnorm ** 2 / (n_pts - n_par) if n_pts > n_par else math.nan
-    sig = s * np.sqrt(np.clip(np.diag(np.linalg.pinv(a)) * s2, 0.0, None))
-    # A zero diagonal: the residuals do not depend on the slot, or its squares underflow.
-    sig[np.diag(a) == 0] = math.nan
+    sig = s * np.sqrt((v ** 2 / w).sum(axis=1) * s2)
+    # Weight in the cut directions (all of it for a zero diagonal of ã): the slot is not determined.
+    sig[1.0 - (v ** 2).sum(axis=1) > RANK_TOL] = math.nan
     # Delta method back to physical units for log-coordinate slots.
     return np.where(log_flags, sig * values_phys, sig)
 

@@ -371,6 +371,27 @@ class TestFitCommand:
         assert re.fullmatch(r"  n_cav\[0\] = \S+ \+/- \S+", line)
         assert "Hz" not in line
 
+    def test_fit_of_g0_and_n_cav_reports_both_undetermined(self, runner, tmp_path):
+        # g0 and n_cav enter the model only as g0^2 n_cav: the fit converges and
+        # determines omega_m and gamma_m, but gives neither of the two an error bar.
+        cfg = write_config(tmp_path, pumps=[{"scheme": "red", "n_cav": 1.3e6}],
+                           grid={"points": 1601}, noise={"sigma": 0.01, "seed": 3},
+                           fit={"bindings": [{"name": name, "mode": "free"} for name in
+                                             ("omega_m", "gamma_m", "g0", "n_cav")]})
+        data, report = tmp_path / "tr.csv", tmp_path / "report.json"
+        assert run(runner, ["--config", cfg, "--out", str(data), "simulate"]).exit_code == 0
+        r = run(runner, ["--config", cfg, "--out", str(report), "fit", str(data)])
+        assert r.exit_code == 0, r.output
+        assert "converged=True" in r.output
+        assert re.search(r"^  g0\[0\] = \S+ Hz \+/- nan Hz$", r.output, re.M)
+        assert re.search(r"^  n_cav\[0\] = \S+ \+/- nan$", r.output, re.M)
+        body = json.loads(report.read_text(), parse_constant=reject_constant)
+        assert body["converged"] is True and body["termination"] == "reduction_tol"
+        params = body["parameters"]
+        assert params["g0[0]"]["stderr_hz"] is None and params["n_cav[0]"]["stderr"] is None
+        for slot in ("omega_m[0]", "gamma_m[0]"):
+            assert params[slot]["stderr_hz"] > 0
+
     def test_fit_on_penalty_plateau_exits_4(self, runner, tmp_path):
         # kappa starts below kappa_ext 44 kHz, where the model rejects the
         # cavity; no step leaves the flat penalty, which is not convergence.
@@ -588,6 +609,10 @@ class TestErrorContract:
             "# scheme: red", "# n_cav: 1.3e6", TRACE_HEADER,
             "5.9962e9,5.9962e9,0.56", "5.9963e9,5.9962e9,0.57"]) + "\n")
         write_config(tmp_path, "ncav.json", fit={"bindings": [{"name": "n_cav", "mode": "free"}]})
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "tr_0.csv").write_bytes((tmp_path / "tiny.csv").read_bytes())
+        write_config(tmp_path / "sub", "rel.json", fit={
+            "bindings": [{"name": "kappa", "mode": "free"}], "datasets": [{"path": "tr_0.csv"}]})
         write_config(tmp_path, "pathless.json", fit={"datasets": [
             {"bindings": [{"name": "omega_c", "mode": "free"}]}]})
         (tmp_path / "undriven.csv").write_text(
@@ -741,6 +766,9 @@ class TestErrorContract:
         pytest.param("linewidth missing.csv", 2,
                      "[Errno 2] No such file or directory: 'missing.csv'",
                      id="os-missing-file"),
+        pytest.param("--config sub/rel.json fit", 2,
+                     "[Errno 2] No such file or directory: 'tr_0.csv'",
+                     id="os-dataset-path-read-from-the-working-directory"),
         pytest.param("--config blue.json --out x.csv simulate", 3,
                      SINGULAR_BLUE + PAST_THRESHOLD, id="singular-simulate"),
         pytest.param("--config blue.json --out x.csv map", 3,

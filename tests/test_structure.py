@@ -20,11 +20,13 @@ omitbench module exists, so a rename fails here and not only in a benchmark run.
 
 Documentation checks: ``pyproject.toml`` declares the package's
 ``__version__``, the README's library example runs, and the README lists
-exactly the metadata keys that omitbench records on its traces and maps.
+exactly the metadata keys that omitbench records on its traces and maps, and
+exactly the top-level keys of a fit report.
 """
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -35,6 +37,8 @@ import numpy as np
 import pytest
 
 import omitbench
+from omitbench.datafiles import write_fit_report
+from omitbench.fitting import FitDataset, FitProblem, ParamBinding, fit
 from omitbench.model import TWO_PI, CavityParams, MechanicalParams, PumpConfig, PumpScheme
 from omitbench.sweeps import NoiseSpec, add_noise, simulate_line_cut, simulate_map
 
@@ -223,3 +227,23 @@ def test_readme_lists_the_recorded_meta_keys():
     listed = re.search(r"omitbench records these keys\s+itself, so `meta` cannot set them"
                        r" \(exit 2, naming the key\):(.*?)\.\n", text, re.S).group(1)
     assert set(re.findall(r"`(\w+)`", listed)) == set().union(*metas)
+
+
+def test_readme_lists_the_fit_report_keys(tmp_path):
+    # The top-level keys of a report written for a one-slot fit.
+    cav = CavityParams.from_hz(6e9, 84e3, 44e3)
+    mech = MechanicalParams.from_hz(3.8e6, 15.3, 0.56)
+    grid = mech.omega_m + TWO_PI * np.linspace(-100.0, 100.0, 41)
+    trace = simulate_line_cut(PumpConfig(PumpScheme.RED, -mech.omega_m, n_cav=1e5), cav, mech,
+                              grid)
+    values = {"omega_c": cav.omega_c, "kappa": cav.kappa, "kappa_ext": cav.kappa_ext,
+              "omega_m": mech.omega_m, "gamma_m": mech.gamma_m, "g0": mech.g0, "n_cav": 1e5}
+    bindings = {name: ParamBinding.fixed(name, value) for name, value in values.items()}
+    bindings["gamma_m"] = ParamBinding.free("gamma_m", 1.1 * mech.gamma_m, 1.0, 1e3)
+    problem = FitProblem([FitDataset(trace, PumpScheme.RED, bindings)])
+    write_fit_report(tmp_path / "report.json", fit(problem), problem, ["trace.csv"])
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"\*\*Fit report JSON\*\* — an object with the keys(.*?)\.\s",
+                       text, re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", listed)) == set(report)
