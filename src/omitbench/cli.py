@@ -54,7 +54,6 @@ from .model import (
     param_to_hz,
 )
 from .sweeps import (
-    NoiseSpec,
     SweepTrace,
     add_noise,
     dbm_to_watts,
@@ -79,6 +78,9 @@ EXIT_CODES = {
     OSError: 2,
 }
 EXIT_NOT_CONVERGED = 4
+
+_scheme_option = click.option("--scheme", type=click.Choice([s.value for s in PumpScheme]),
+                              default=None, help="Pump scheme override.")
 
 
 @dataclass
@@ -158,7 +160,7 @@ def _resolve_pumps(cfg: RunConfig, scheme, detuning_hz, ncav, power_dbm, power_w
     elif base is not None and scheme is None:
         delta = base.delta
     else:
-        delta = sch.sign * cfg.mechanics.omega_m
+        delta = sch.aligned_detuning(cfg.mechanics.omega_m)
     if ncav is not None:
         return [PumpConfig(sch, delta, n_cav=ncav)]
     if given:
@@ -207,8 +209,7 @@ def main(ctx, config_path, seed, out, db):
 
 
 @main.command()
-@click.option("--scheme", type=click.Choice(["red", "blue"]), default=None,
-              help="Pump scheme override.")
+@_scheme_option
 @_float_option("--detuning-hz", help="Pump detuning (omega_d - omega_c)/2pi override.")
 @_float_option("--ncav", help="Pump strength as an intracavity photon number (0 = pump off).")
 @_float_option("--power-dbm", help="Pump strength as input power in dBm.")
@@ -234,9 +235,9 @@ def simulate(state: CliState, scheme, detuning_hz, ncav, power_dbm, points,
                                      half_width_gamma_eff=cfg.grid.half_width_gamma_eff)
             trace = simulate_line_cut(pump, cfg.cavity, cfg.mechanics, grid,
                                       meta=cfg.meta)
-        if cfg.noise is not None and cfg.noise.sigma > 0:
+        if cfg.noise is not None:
             seed = state.seed if state.seed is not None else cfg.noise.seed
-            trace = add_noise(trace, NoiseSpec(cfg.noise.sigma, seed + i))
+            trace = add_noise(trace, replace(cfg.noise, seed=seed + i))
         data = DatasetFile.from_trace(trace)
         path = _numbered(out, i, len(pumps))
         write_dataset(path, data)
@@ -251,8 +252,7 @@ def simulate(state: CliState, scheme, detuning_hz, ncav, power_dbm, points,
 
 
 @main.command(name="map")
-@click.option("--scheme", type=click.Choice(["red", "blue"]), default=None,
-              help="Pump scheme override.")
+@_scheme_option
 @_float_option("--ncav", help="Photon number held fixed across detuning rows.")
 @_float_option("--power-dbm", help="Fixed input power; photon number recomputed per row.")
 @click.option("--svg", "svg_path", type=click.Path(), default=None,
@@ -263,7 +263,7 @@ def map_cmd(state: CliState, scheme, ncav, power_dbm, svg_path):
     cfg = _require_config(state)
     out = _require_out(state)
     pump = _resolve_pumps(cfg, scheme, None, ncav, power_dbm)[0]
-    aligned = replace(pump, delta=pump.scheme.sign * cfg.mechanics.omega_m)
+    aligned = replace(pump, delta=pump.scheme.aligned_detuning(cfg.mechanics.omega_m))
     with _pump_context(pump):
         delta_grid = default_delta_grid(
             pump.scheme, cfg.cavity, cfg.mechanics,

@@ -38,105 +38,63 @@ class ConfigError(Exception):
     """Configuration file missing, unparsable or schema-invalid."""
 
 
-_BINDING_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name", "mode"],
-    "properties": {
-        "name": {"enum": list(PARAM_UNITS)},
-        "mode": {"enum": ["fixed", "free", "shared"]},
-        "group": {"type": "string", "minLength": 1},
-        "init": {"type": "number"},
-        "lo": {"type": "number"},
-        "hi": {"type": "number"},
-    },
-}
+def _closed(properties: dict, *required: str) -> dict:
+    """An object schema that rejects every key not in ``properties``."""
+    return {"type": "object", "additionalProperties": False,
+            **({"required": list(required)} if required else {}), "properties": properties}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["cavity", "mechanics"],
-    "properties": {
-        "cavity": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["omega_c_hz", "kappa_hz", "kappa_ext_hz"],
-            "properties": {
-                "omega_c_hz": {"type": "number", "exclusiveMinimum": 0},
-                "kappa_hz": {"type": "number", "exclusiveMinimum": 0},
-                "kappa_ext_hz": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "mechanics": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["omega_m_hz", "gamma_m_hz", "g0_hz"],
-            "properties": {
-                "omega_m_hz": {"type": "number", "exclusiveMinimum": 0},
-                "gamma_m_hz": {"type": "number", "exclusiveMinimum": 0},
-                "g0_hz": {"type": "number", "minimum": 0},
-            },
-        },
-        "pumps": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["scheme"],
-                "properties": {
-                    "scheme": {"enum": ["red", "blue"]},
-                    "detuning_hz": {"type": "number"},
-                    "n_cav": {"type": "number", "minimum": 0},
-                    "power_dbm": {"type": "number"},
-                    "power_w": {"type": "number", "minimum": 0},
-                },
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "points": {"type": "integer", "minimum": 2, "maximum": MAX_LINE_POINTS},
-                "half_width_gamma_eff": {"type": "number", "exclusiveMinimum": 0},
-                "map_delta_points": {"type": "integer", "minimum": 2,
-                                     "maximum": MAX_MAP_AXIS_POINTS},
-                "map_omega_points": {"type": "integer", "minimum": 2,
-                                     "maximum": MAX_MAP_AXIS_POINTS},
-                "map_half_width_kappa": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "noise": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["sigma"],
-            "properties": {
-                "sigma": {"type": "number", "minimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-        "fit": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "bindings": {"type": "array", "items": _BINDING_SCHEMA},
-                "datasets": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["path"],
-                        "properties": {
-                            "path": {"type": "string"},
-                            "bindings": {"type": "array", "items": _BINDING_SCHEMA},
-                        },
-                    },
-                },
-            },
-        },
-        "meta": {"type": "object"},
-    },
-}
+
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NON_NEGATIVE = {"type": "number", "minimum": 0}
+
+_BINDING_SCHEMA = _closed({
+    "name": {"enum": list(PARAM_UNITS)},
+    "mode": {"enum": ["fixed", "free", "shared"]},
+    "group": {"type": "string", "minLength": 1},
+    "init": _NUMBER,
+    "lo": _NUMBER,
+    "hi": _NUMBER,
+}, "name", "mode")
+
+CONFIG_SCHEMA = _closed({
+    "cavity": _closed({
+        "omega_c_hz": _POSITIVE,
+        "kappa_hz": _POSITIVE,
+        "kappa_ext_hz": _POSITIVE,
+    }, "omega_c_hz", "kappa_hz", "kappa_ext_hz"),
+    "mechanics": _closed({
+        "omega_m_hz": _POSITIVE,
+        "gamma_m_hz": _POSITIVE,
+        "g0_hz": _NON_NEGATIVE,
+    }, "omega_m_hz", "gamma_m_hz", "g0_hz"),
+    "pumps": {"type": "array", "minItems": 1, "items": _closed({
+        "scheme": {"enum": [s.value for s in PumpScheme]},
+        "detuning_hz": _NUMBER,
+        "n_cav": _NON_NEGATIVE,
+        "power_dbm": _NUMBER,
+        "power_w": _NON_NEGATIVE,
+    }, "scheme")},
+    "grid": _closed({
+        "points": {"type": "integer", "minimum": 2, "maximum": MAX_LINE_POINTS},
+        "half_width_gamma_eff": _POSITIVE,
+        "map_delta_points": {"type": "integer", "minimum": 2, "maximum": MAX_MAP_AXIS_POINTS},
+        "map_omega_points": {"type": "integer", "minimum": 2, "maximum": MAX_MAP_AXIS_POINTS},
+        "map_half_width_kappa": _POSITIVE,
+    }),
+    "noise": _closed({
+        "sigma": _NON_NEGATIVE,
+        "seed": {"type": "integer", "minimum": 0},
+    }, "sigma"),
+    "fit": _closed({
+        "bindings": {"type": "array", "items": _BINDING_SCHEMA},
+        "datasets": {"type": "array", "items": _closed({
+            "path": {"type": "string"},
+            "bindings": {"type": "array", "items": _BINDING_SCHEMA},
+        }, "path")},
+    }),
+    "meta": {"type": "object"},
+}, "cavity", "mechanics")
 
 
 _TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
@@ -226,9 +184,8 @@ class RunConfig:
 
 def _build_pump(i: int, entry: dict, cfg_mech: MechanicalParams) -> PumpConfig:
     scheme = PumpScheme.parse(entry["scheme"])
-    # Default to the sideband-aligned detuning for the scheme.
     delta = TWO_PI * entry["detuning_hz"] if "detuning_hz" in entry \
-        else scheme.sign * cfg_mech.omega_m
+        else scheme.aligned_detuning(cfg_mech.omega_m)
     drives = [k for k in ("n_cav", "power_dbm", "power_w") if k in entry]
     if len(drives) != 1:
         raise ValueError(f"pumps/{i}: pump entry needs exactly one of "

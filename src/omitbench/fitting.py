@@ -143,7 +143,8 @@ class FitDataset:
     :class:`ParamBinding` (checked when the dataset joins a
     :class:`FitProblem`).  Of the trace only ``omega_d`` (pump), ``offsets``
     (its ``omega_p - omega_d``, the kernel's grid, with ``omega_p`` the absolute
-    probe axis in rad/s) and ``data`` (|S21| samples) are kept.
+    probe axis in rad/s) and ``data`` (|S21| samples) are kept.  A ``scheme``
+    other than the one the trace's meta records is a ValueError.
     """
 
     trace: InitVar[SweepTrace]
@@ -156,6 +157,9 @@ class FitDataset:
                 raise ValueError(f"binding key {name!r} does not match binding name {b.name!r}")
         if "pump_freq_hz" not in trace.meta:
             raise ValueError("trace meta must carry pump_freq_hz")
+        if "scheme" in trace.meta and PumpScheme.parse(trace.meta["scheme"]) is not self.scheme:
+            raise ValueError(f"trace recorded with scheme {trace.meta['scheme']!r} "
+                             f"fitted as {self.scheme.value!r}")
         self.omega_d = TWO_PI * float(trace.meta["pump_freq_hz"])
         self.offsets = trace.omega
         self.data = trace.magnitude()
@@ -307,7 +311,8 @@ class FitResult:
     ``zero_residual``, ``no_free_parameters``, ``iteration_cap``, or
     ``penalty`` (the model rejects a dataset at the returned point).
     ``converged`` is false for the last two.  ``residuals`` is the stacked
-    residual vector at the returned point, NaN over each rejected dataset.
+    residual vector at the returned point, NaN over each rejected dataset;
+    ``rms_residual`` is its rms over the other datasets, NaN if there are none.
     ``n_residual_evals`` counts calls to :func:`residuals`: 1 + ``iterations``.
     """
 
@@ -315,7 +320,6 @@ class FitResult:
     stderr: dict[str, float]
     rms_residual: float
     iterations: int
-    n_residual_evals: int
     termination: str
     residuals: np.ndarray
     cost_history: list[float] = field(default_factory=list)
@@ -324,6 +328,10 @@ class FitResult:
     @property
     def converged(self) -> bool:
         return self.termination not in ("iteration_cap", "penalty")
+
+    @property
+    def n_residual_evals(self) -> int:
+        return 1 + self.iterations
 
 
 def _to_internal(v, log_flags):
@@ -403,17 +411,19 @@ def fit(problem: FitProblem) -> FitResult:
 
     # A dataset the model rejects at x gives a flat penalty with a zero
     # Jacobian, so the loop stops there without having fitted anything.
+    kept = np.ones(n_pts, dtype=bool)
     for rows in problem._rows:
         if np.all(r[rows] == PENALTY_RESIDUAL):
-            r[rows], termination = math.nan, "penalty"
+            r[rows], kept[rows], termination = math.nan, False, "penalty"
+    n_kept = int(kept.sum())
+    rms = float(np.linalg.norm(r[kept])) / math.sqrt(n_kept) if n_kept else math.nan
     values_phys = _to_physical(x, log_flags)
     stderr_phys = _uncertainties(n_pts, w, v, s, rnorm, values_phys, log_flags)
     return FitResult(
         values=dict(zip(problem.slot_names, values_phys.tolist())),
         stderr=dict(zip(problem.slot_names, stderr_phys.tolist())),
-        rms_residual=rnorm / math.sqrt(n_pts),
+        rms_residual=rms,
         iterations=iterations,
-        n_residual_evals=1 + iterations,
         termination=termination or "iteration_cap",
         residuals=r,
         cost_history=history,

@@ -98,6 +98,11 @@ class PumpScheme(Enum):
         """Upper-sign (+1, blue) or lower-sign (-1, red) branch of the model."""
         return +1 if self is PumpScheme.BLUE else -1
 
+    def aligned_detuning(self, omega_m):
+        """Pump detuning Delta that puts the scheme's sideband on the cavity:
+        -omega_m for red (OMIT), +omega_m for blue (OMIA)."""
+        return self.sign * omega_m
+
     @classmethod
     def parse(cls, value) -> "PumpScheme":
         try:
@@ -243,7 +248,7 @@ def mechanical_susceptibility(omega, mech: MechanicalParams, scheme: PumpScheme)
     complex or ndarray
         chi_m in 1/(rad/s); peak magnitude 2/gamma_m on the sideband.
     """
-    x = np.asarray(omega) + scheme.sign * mech.omega_m
+    x = np.asarray(omega) + scheme.aligned_detuning(mech.omega_m)
     return 1.0 / (0.5 * mech.gamma_m - 1j * x)
 
 
@@ -294,12 +299,12 @@ def _blue_gate(pump: PumpConfig, cav: CavityParams, mech: MechanicalParams,
 
     The backaction strength follows |chi_c|^2 at the pump sideband, so the
     gate uses the cooperativity weighted by cavity-sideband alignment:
-    detuning the blue pump's sideband from the cavity by d = Delta - omega_m
+    detuning the pump's sideband from the cavity by d = Delta - aligned_detuning
     reduces the aligned cooperativity by (kappa/2)^2 / ((kappa/2)^2 + d^2).
     """
     if pump.scheme is PumpScheme.BLUE and n_cav > 0:
         coop = cooperativity(mech.g0, n_cav, cav.kappa, mech.gamma_m)
-        d = pump.delta - mech.omega_m
+        d = pump.delta - pump.scheme.aligned_detuning(mech.omega_m)
         half_kappa_sq = (0.5 * cav.kappa) ** 2
         c_loc = coop * half_kappa_sq / (half_kappa_sq + d * d)
         if c_loc >= 1.0:

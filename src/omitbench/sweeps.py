@@ -155,7 +155,7 @@ def default_line_grid(pump: PumpConfig, cav: CavityParams, mech: MechanicalParam
     """Probe-offset grid centred on the pump sideband.
 
     Spans +/- ``half_width_gamma_eff`` effective linewidths around the
-    sideband at Omega = -sign * omega_m (red: +omega_m, blue: -omega_m); the
+    sideband at Omega = -aligned_detuning (red: +omega_m, blue: -omega_m); the
     width is floored at 5 % of the bare gamma_m so a blue feature quenched near
     the instability still gets a window.  A window that reaches the pump
     (half-width >= omega_m) is an error.
@@ -164,7 +164,7 @@ def default_line_grid(pump: PumpConfig, cav: CavityParams, mech: MechanicalParam
     coop = cooperativity(mech.g0, n_cav, cav.kappa, mech.gamma_m)
     g_eff = effective_linewidth(mech, coop, pump.scheme)
     scale = max(abs(g_eff), mech.gamma_m * 0.05)
-    center = -pump.scheme.sign * mech.omega_m
+    center = -pump.scheme.aligned_detuning(mech.omega_m)
     half = half_width_gamma_eff * scale
     if not half < mech.omega_m:  # also rejects inf and nan
         raise ValueError(f"n_cav {n_cav:g}: probe window +/- {half / TWO_PI:g} Hz reaches the pump")
@@ -175,7 +175,7 @@ def default_delta_grid(scheme: PumpScheme, cav: CavityParams, mech: MechanicalPa
                        points: int = MAP_DELTA_POINTS,
                        half_width_kappa: float = MAP_DELTA_HALF_WIDTH_KAPPA) -> np.ndarray:
     """Pump-detuning grid around the sideband-aligned point Delta = -/+ omega_m."""
-    center = scheme.sign * mech.omega_m
+    center = scheme.aligned_detuning(mech.omega_m)
     half = half_width_kappa * cav.kappa
     return np.linspace(center - half, center + half, points)
 

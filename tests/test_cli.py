@@ -405,10 +405,12 @@ class TestFitCommand:
                          "fit", str(data)])
         assert r.exit_code == 4
         assert "converged=False" in r.output
+        assert "rms_residual=nan" in r.output
         assert "kappa[0] = 33600.000000 Hz +/- nan Hz" in r.output
         assert r.stderr == "error: fit did not converge: penalty (iterations=1)\n"
         body = json.loads(report.read_text(), parse_constant=reject_constant)
         assert body["converged"] is False
+        assert body["rms_residual"] is None
         assert body["termination"] == "penalty"
         assert body["parameters"]["kappa[0]"]["stderr_hz"] is None
         rows = (tmp_path / "report_residuals.csv").read_text().splitlines()[1:]

@@ -189,6 +189,25 @@ def test_an_unimplemented_keyword_fails_loudly():
         list(config._violations(5, {"type": "integer", "exclusiveMaximum": 3}))
 
 
+def object_schemas(schema, loc=()):
+    """``(loc, schema)`` for every object schema in ``schema``."""
+    if schema.get("type") == "object":
+        yield loc, schema
+    for name, sub in schema.get("properties", {}).items():
+        yield from object_schemas(sub, (*loc, name))
+    if "items" in schema:
+        yield from object_schemas(schema["items"], (*loc, "items"))
+
+
+def test_every_object_but_meta_rejects_unknown_keys():
+    # The mutations above come from the schema, so they cannot see a missing flag.
+    objects = dict(object_schemas(CONFIG_SCHEMA))
+    assert {(), ("pumps", "items"), ("fit", "datasets", "items", "bindings", "items"),
+            ("meta",)} <= objects.keys()
+    assert [loc for loc, schema in objects.items()
+            if schema.get("additionalProperties") is not False] == [("meta",)]
+
+
 @pytest.mark.parametrize("loc, value", [(("pumps", 0, "n_cav"), math.nan),
                                         (("noise", "sigma"), math.nan),
                                         (("grid", "half_width_gamma_eff"), math.inf),

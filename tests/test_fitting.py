@@ -348,7 +348,7 @@ class TestFit:
         result = fit(self._plateau_problem())
         assert not result.converged
         assert result.termination == "penalty"
-        assert result.rms_residual == pytest.approx(1e3)
+        assert math.isnan(result.rms_residual)
 
     def test_penalty_in_a_later_dataset_is_not_converged(self):
         # Only the second dataset's rows are the penalty at the end.
@@ -360,6 +360,24 @@ class TestFit:
         result = fit(FitProblem([fine] + self._plateau_problem().datasets))
         assert not result.converged
         assert result.termination == "penalty"
+
+    def test_rms_residual_over_the_datasets_the_model_accepts(self):
+        # Not the penalty constant: the rejected rows are NaN and left out.
+        trace, cav, pump = make_trace(points=201, noise_sigma=0.01)
+        bindings = fixed_bindings(cav, MECH, N_RED_MAX)
+        fine = FitDataset(trace, PumpScheme.RED, bindings)
+        result = fit(FitProblem([fine] + self._plateau_problem().datasets))
+        assert result.termination == "penalty"
+        kept = result.residuals[:201]
+        assert np.isnan(result.residuals[201:]).all() and np.isfinite(kept).all()
+        assert result.rms_residual == pytest.approx(math.sqrt(np.mean(kept ** 2)), rel=1e-12)
+        assert 0 < result.rms_residual < 0.1
+
+    def test_scheme_contradicting_the_trace_is_refused(self):
+        trace, cav, _ = make_trace(points=11)
+        assert trace.meta["scheme"] == "red"
+        with pytest.raises(ValueError, match="scheme 'red' fitted as 'blue'"):
+            FitDataset(trace, PumpScheme.BLUE, fixed_bindings(cav, MECH, N_RED_MAX))
 
     def test_iteration_cap_is_not_converged(self, monkeypatch):
         # Two steps from a 30 % kappa error meet neither tolerance.
