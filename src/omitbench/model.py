@@ -27,6 +27,7 @@ accept scalar or ndarray probe offsets.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,8 +36,8 @@ import numpy as np
 # Reduced Planck constant, J*s (CODATA 2018).
 HBAR = 1.054571817e-34
 
-# Relative floor on |1 -/+ g0^2 n chi_c chi_m| below which the linear
-# steady-state response is treated as singular.
+# Floor, in units of gamma_m, on the blue mechanical pole width at or below
+# which the linear steady-state response is treated as singular.
 DENOMINATOR_GUARD = 1e-9
 
 TWO_PI = 2.0 * np.pi
@@ -60,6 +61,7 @@ __all__ = [
     "mechanical_susceptibility",
     "intracavity_photon_number",
     "probe_transmission",
+    "mechanical_pole",
     "cooperativity",
     "effective_linewidth",
     "param_to_hz",
@@ -80,10 +82,8 @@ def param_from_hz(name: str, value):
 class SingularDenominator(Exception):
     """Linear response is singular: at or past the parametric instability.
 
-    Raised when the interference denominator of the transmission model falls
-    below :data:`DENOMINATOR_GUARD`, or when a blue-pumped configuration has
-    vanishing effective mechanical damping (self-sustained oscillation
-    regime), where the steady-state formula is no longer meaningful.
+    Raised for a blue pump whose mechanical pole width is at or below
+    :data:`DENOMINATOR_GUARD` times gamma_m: the mode self-oscillates.
     """
 
 
@@ -106,9 +106,10 @@ class PumpScheme(Enum):
     @classmethod
     def parse(cls, value) -> "PumpScheme":
         try:
-            return cls(str(value).strip().lower())
+            return cls(value)
         except ValueError:
-            raise ValueError(f"unknown pump scheme {value!r}; expected 'red' or 'blue'") from None
+            expected = " or ".join(repr(m.value) for m in cls)
+            raise ValueError(f"unknown pump scheme {value!r}; expected {expected}") from None
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,8 @@ class MechanicalParams:
             raise ValueError("omega_m must be positive")
         if not self.gamma_m > 0:
             raise ValueError("gamma_m must be positive")
+        if not cmath.isfinite(self.g0):
+            raise ValueError("g0 must be a finite number")
         if self.g0 < 0:
             raise ValueError("g0 must be non-negative")
 
@@ -200,10 +203,12 @@ class PumpConfig:
     def __post_init__(self):
         if (self.n_cav is None) == (self.p_in is None):
             raise ValueError("specify exactly one of n_cav or p_in")
-        if self.n_cav is not None and self.n_cav < 0:
-            raise ValueError("n_cav must be non-negative")
-        if self.p_in is not None and self.p_in < 0:
-            raise ValueError("p_in must be non-negative")
+        for name in ("delta", "n_cav", "p_in"):
+            value = getattr(self, name)
+            if value is not None and not cmath.isfinite(value):
+                raise ValueError(f"{name} must be a finite number")
+            if name != "delta" and value is not None and value < 0:
+                raise ValueError(f"{name} must be non-negative")
 
     def omega_d(self, cav: CavityParams) -> float:
         """Absolute pump frequency omega_c + Delta (rad/s)."""
@@ -293,25 +298,22 @@ def effective_linewidth(mech: MechanicalParams, coop: float, scheme: PumpScheme)
     return mech.gamma_m * (1.0 - scheme.sign * coop)
 
 
-def _blue_gate(pump: PumpConfig, cav: CavityParams, mech: MechanicalParams,
-               n_cav: float) -> None:
-    """Raise for a blue pump at or past the parametric instability.
+def mechanical_pole(pump: PumpConfig, cav: CavityParams, mech: MechanicalParams) -> complex:
+    """Least damped root Omega (rad/s) of the denominator 1 -/+ g0^2 n chi_c chi_m.
 
-    The backaction strength follows |chi_c|^2 at the pump sideband, so the
-    gate uses the cooperativity weighted by cavity-sideband alignment:
-    detuning the pump's sideband from the cavity by d = Delta - aligned_detuning
-    reduces the aligned cooperativity by (kappa/2)^2 / ((kappa/2)^2 + d^2).
+    With u = Omega + aligned_detuning, d = Delta - aligned_detuning it solves u^2 + b u + c = 0,
+    b = d + i(kappa+gamma_m)/2, c = i gamma_m d/2 - kappa gamma_m/4 +/- g0^2 n, by the pair
+    q = -(b + s sqrt(b^2 - 4c))/2 and c/q, free of cancellation (Numerical Recipes 3rd ed. 5.6).
+    Its width -2 Im Omega, about gamma_m (1 -/+ C_loc) for gamma_m << kappa, is 0 at threshold.
     """
-    if pump.scheme is PumpScheme.BLUE and n_cav > 0:
-        coop = cooperativity(mech.g0, n_cav, cav.kappa, mech.gamma_m)
-        d = pump.delta - pump.scheme.aligned_detuning(mech.omega_m)
-        half_kappa_sq = (0.5 * cav.kappa) ** 2
-        c_loc = coop * half_kappa_sq / (half_kappa_sq + d * d)
-        if c_loc >= 1.0:
-            raise SingularDenominator(
-                "blue pumping past the parametric instability "
-                f"(sideband-aligned cooperativity {c_loc:.6g} >= 1); "
-                "steady-state response is undefined")
+    a = pump.scheme.aligned_detuning(mech.omega_m)
+    d = pump.delta - a
+    g2n = pump.scheme.sign * mech.g0 ** 2 * intracavity_photon_number(pump, cav)
+    b = complex(d, 0.5 * (cav.kappa + mech.gamma_m))
+    c = complex(g2n - 0.25 * cav.kappa * mech.gamma_m, 0.5 * mech.gamma_m * d)
+    root = cmath.sqrt(b * b - 4.0 * c)
+    q = -0.5 * (b + root if (b.conjugate() * root).real >= 0 else b - root)
+    return (q if q.imag > (c / q).imag else c / q) - a  # a NaN root gives a NaN pole
 
 
 def probe_transmission(omega, pump: PumpConfig, cav: CavityParams, mech: MechanicalParams):
@@ -338,15 +340,19 @@ def probe_transmission(omega, pump: PumpConfig, cav: CavityParams, mech: Mechani
     Raises
     ------
     SingularDenominator
-        If the interference denominator magnitude drops below
-        :data:`DENOMINATOR_GUARD` at any requested point, or the pump
-        configuration is at/past the blue parametric instability (effective
-        damping <= 0 at this detuning).
+        If a blue pump with n_cav > 0 has a :func:`mechanical_pole` width at or
+        below :data:`DENOMINATOR_GUARD` times gamma_m, or a NaN pole, whatever
+        the probe grid; a red pump is always stable.
     ValueError
         If the probe grid ``omega`` is empty.
     """
     n_cav = intracavity_photon_number(pump, cav)
-    _blue_gate(pump, cav, mech, n_cav)
+    if pump.scheme is PumpScheme.BLUE and n_cav > 0:
+        width = -2.0 * mechanical_pole(pump, cav, mech).imag
+        if not width > DENOMINATOR_GUARD * mech.gamma_m:
+            raise SingularDenominator(
+                "blue pumping past the parametric instability (mechanical pole width "
+                f"{width / TWO_PI:.6g} Hz); steady-state response is undefined")
     scalar = np.ndim(omega) == 0
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if omega.size == 0:
@@ -354,11 +360,5 @@ def probe_transmission(omega, pump: PumpConfig, cav: CavityParams, mech: Mechani
     chi_c = cavity_susceptibility(omega, pump.delta, cav.kappa)
     chi_m = mechanical_susceptibility(omega, mech, pump.scheme)
     denom = 1.0 - pump.scheme.sign * (mech.g0 ** 2) * n_cav * chi_c * chi_m
-    mag = np.abs(denom)
-    c = int(np.argmin(mag))
-    if mag[c] < DENOMINATOR_GUARD:
-        raise SingularDenominator(
-            f"interference denominator |1 -/+ g0^2 n chi_c chi_m| = {mag[c]:.3e} "
-            f"< {DENOMINATOR_GUARD:g} at probe offset {omega[c] / TWO_PI:.6f} Hz")
     s21 = 1.0 - 0.5 * cav.kappa_ext * chi_c / denom
     return complex(s21[0]) if scalar else s21

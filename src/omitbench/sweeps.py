@@ -190,7 +190,7 @@ def simulate_line_cut(pump: PumpConfig, cav: CavityParams, mech: MechanicalParam
     Raises
     ------
     SingularDenominator
-        Propagated from the model, annotated with the offending grid point.
+        Propagated from the model: a blue pump at the parametric instability.
     ValueError
         If ``meta`` sets a key that omitbench records itself (scheme, pump, drive, noise).
     """

@@ -562,11 +562,21 @@ class TestLinewidth:
         assert r.exit_code == 2
         assert f"error: {bad}: {problem}" in r.stderr
 
+    @pytest.mark.parametrize("verb", ["linewidth", "fit"])
+    def test_scheme_spelling_is_exact(self, runner, tmp_path, verb):
+        bad = tmp_path / "upper.csv"
+        bad.write_text("\n".join(["# scheme: RED", "# n_cav: 1.3e6", TRACE_HEADER,
+                                  "5.9962e9,5.9962e9,0.56"]) + "\n")
+        r = runner.invoke(main, ["--config", write_config(tmp_path), verb, str(bad)])
+        assert r.exit_code == 2
+        assert r.stderr == (f"error: {bad}:0: unknown pump scheme 'RED'; "
+                            "expected 'red' or 'blue'\n")
+
 
 SINGULAR_BLUE = ("singular response at scheme=blue, detuning_hz=3.8e+06, "
                  "n_cav=1.0348e+06: ")
-PAST_THRESHOLD = ("blue pumping past the parametric instability (sideband-aligned "
-                  "cooperativity 1.01 >= 1); steady-state response is undefined")
+PAST_THRESHOLD = ("blue pumping past the parametric instability (mechanical pole "
+                  "width -0.152972 Hz); steady-state response is undefined")
 
 
 class TestErrorContract:
@@ -781,8 +791,8 @@ class TestErrorContract:
         pytest.param("--config blue.json --out x.csv map --power-dbm -46", 3,
                      "singular response at scheme=blue, detuning_hz=3.8e+06, "
                      "p_in=2.51189e-08 W: map row 2 (detuning 3800000.000000 Hz): blue pumping "
-                     "past the parametric instability (sideband-aligned cooperativity 1.49419 "
-                     ">= 1); steady-state response is undefined", id="singular-map-power"),
+                     "past the parametric instability (mechanical pole width -7.55904 Hz); "
+                     "steady-state response is undefined", id="singular-map-power"),
         pytest.param("--config fit.json fit tiny.csv", 5,
                      "2 data points for 3 adjustable parameters", id="insufficient-data"),
         pytest.param("linewidth bare.csv", 6,

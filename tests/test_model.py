@@ -6,11 +6,12 @@ peak/dip 1 - (kappa_ext/kappa)/(1 +/- C), photon relation) with 50-digit
 arithmetic, then rounded to double precision.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omitbench.model import (
@@ -26,6 +27,7 @@ from omitbench.model import (
     cooperativity,
     effective_linewidth,
     intracavity_photon_number,
+    mechanical_pole,
     mechanical_susceptibility,
     probe_transmission,
 )
@@ -269,14 +271,15 @@ class TestProbeTransmission:
         assert np.isfinite(s21)
 
     def test_numeric_guard_trips_just_below_threshold(self):
-        # c = 1 - 1e-10 passes the instability gate but the denominator
-        # magnitude on double resonance is ~1e-10 < the guard floor.
+        # c = 1 - 1e-10 is below the threshold, but the mechanical pole width
+        # ~1e-10 gamma_m is below the DENOMINATOR_GUARD * gamma_m floor.
         cav = cav_hz(83e3)
         n = n_for_coop(1.0 - 1e-10, 83e3)
         pump = PumpConfig(PumpScheme.BLUE, +MECH.omega_m, n_cav=n)
-        with pytest.raises(SingularDenominator) as err:
+        assert 0 < -2 * mechanical_pole(pump, cav, MECH).imag < DENOMINATOR_GUARD * MECH.gamma_m
+        with pytest.raises(SingularDenominator,
+                           match="^blue pumping past the parametric instability"):
             probe_transmission(-MECH.omega_m, pump, cav, MECH)
-        assert f"{DENOMINATOR_GUARD:g}" in str(err.value)
 
     def test_red_never_raises_at_high_drive(self):
         cav = cav_hz(84e3)
@@ -304,6 +307,64 @@ class TestProbeTransmission:
         pump = PumpConfig(PumpScheme.RED, -MECH.omega_m, n_cav=N_RED_MAX)
         s21 = probe_transmission(TWO_PI * offset_hz, pump, cav, MECH)
         assert abs(s21) <= 1.0 + 1e-12
+
+
+class TestMechanicalPole:
+    """The least damped root of the kernel's denominator, and the blue rule on it."""
+
+    @given(scheme=st.sampled_from(PumpScheme), d_kappa=st.floats(-2.0, 2.0),
+           c_loc=st.floats(0.0, 0.9), kappa_hz=st.floats(5e4, 1e6))
+    @example(scheme=PumpScheme.RED, d_kappa=0.0, c_loc=0.9, kappa_hz=83e3)
+    @example(scheme=PumpScheme.BLUE, d_kappa=0.0, c_loc=0.9, kappa_hz=83e3)
+    @settings(max_examples=200, deadline=None)
+    def test_width_is_the_backaction_linewidth(self, scheme, d_kappa, c_loc, kappa_hz):
+        # Weak-coupling law gamma_m (1 -/+ C_loc), C_loc the cooperativity
+        # weighted by (kappa/2)^2 / ((kappa/2)^2 + d^2).  Its error is first
+        # order in gamma_m/kappa: at most 3.02 gamma_m/kappa (red, C_loc = 0.9,
+        # |d| = 2 kappa) over this range, so the tolerance is 4 gamma_m/kappa.
+        cav = cav_hz(kappa_hz)
+        d = d_kappa * cav.kappa
+        coop = c_loc * (1.0 + (2.0 * d / cav.kappa) ** 2)
+        a = scheme.aligned_detuning(MECH.omega_m)
+        pump = PumpConfig(scheme, a + d, n_cav=n_for_coop(coop, kappa_hz))
+        width = -2.0 * mechanical_pole(pump, cav, MECH).imag
+        law = MECH.gamma_m * (1.0 - scheme.sign * c_loc)
+        assert abs(width - law) <= 4.0 * MECH.gamma_m ** 2 / cav.kappa
+        b = complex(d, 0.5 * (cav.kappa + MECH.gamma_m))
+        c = complex(scheme.sign * MECH.g0 ** 2 * pump.n_cav - 0.25 * cav.kappa * MECH.gamma_m,
+                    0.5 * MECH.gamma_m * d)
+        roots = np.roots([1.0, b, c])
+        assert width == pytest.approx(-2.0 * roots.imag.max(), rel=1e-9, abs=1e-9 * MECH.gamma_m)
+        if d == 0.0:
+            assert mechanical_pole(pump, cav, MECH).real == -a
+
+    def test_blue_threshold_is_exact_off_the_sideband(self):
+        # A real root u = -gamma_m d/(kappa + gamma_m) first appears at
+        # C = 1 + (2d/(kappa + gamma_m))^2, below the C_loc = 1 rule's 1 + (2d/kappa)^2.
+        cav = cav_hz(83e3)
+        d = cav.kappa
+        threshold = 1.0 + (2.0 * d / (cav.kappa + MECH.gamma_m)) ** 2
+        below, above = (PumpConfig(PumpScheme.BLUE, MECH.omega_m + d,
+                                   n_cav=n_for_coop(factor * threshold, 83e3))
+                        for factor in (1.0 - 1e-5, 1.0 + 1e-5))
+        assert np.isfinite(probe_transmission(-MECH.omega_m, below, cav, MECH))
+        with pytest.raises(SingularDenominator):
+            probe_transmission(-MECH.omega_m, above, cav, MECH)
+
+    def test_refusal_does_not_depend_on_the_probe_grid(self):
+        cav = cav_hz(83e3)
+        pump = PumpConfig(PumpScheme.BLUE, +MECH.omega_m, n_cav=n_for_coop(1.0 - 1e-10, 83e3))
+        far = -MECH.omega_m + MECH.gamma_m * np.linspace(100.0, 110.0, 11)
+        with pytest.raises(SingularDenominator):
+            probe_transmission(far, pump, cav, MECH)
+
+    def test_infinite_photon_number_gives_a_nan_pole_and_is_refused(self):
+        cav = cav_hz(83e3)
+        pump = PumpConfig(PumpScheme.BLUE, +MECH.omega_m, p_in=1e300)
+        assert intracavity_photon_number(pump, cav) == math.inf
+        assert cmath.isnan(mechanical_pole(pump, cav, MECH))
+        with pytest.raises(SingularDenominator, match="pole width nan Hz"):
+            probe_transmission(-MECH.omega_m, pump, cav, MECH)
 
 
 class TestTypes:
@@ -340,7 +401,14 @@ class TestTypes:
         (lambda: PumpConfig(PumpScheme.RED, 0.0, p_in=-1.0), "p_in must be non-negative"),
         (lambda: effective_linewidth(MECH, -0.1, PumpScheme.RED),
          "cooperativity must be non-negative"),
-    ], ids=["pump-negative-power", "negative-cooperativity"])
+        (lambda: MechanicalParams.from_hz(F_M, GAMMA_M_HZ, math.nan), "g0 must be a finite number"),
+        (lambda: PumpConfig(PumpScheme.RED, -MECH.omega_m, n_cav=-math.inf),
+         "n_cav must be a finite number"),
+        (lambda: PumpConfig(PumpScheme.RED, -MECH.omega_m, p_in=math.inf),
+         "p_in must be a finite number"),
+        (lambda: PumpConfig(PumpScheme.RED, math.nan, n_cav=1.0), "delta must be a finite number"),
+    ], ids=["pump-negative-power", "negative-cooperativity", "nan-g0", "infinite-n_cav",
+            "infinite-p_in", "nan-delta"])
     def test_rejects_bad_input(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()
@@ -352,7 +420,9 @@ class TestTypes:
 
     def test_scheme_parse(self):
         assert PumpScheme.parse("red") is PumpScheme.RED
-        assert PumpScheme.parse(" BLUE ") is PumpScheme.BLUE
+        with pytest.raises(ValueError,
+                           match=r"^unknown pump scheme ' BLUE '; expected 'red' or 'blue'$"):
+            PumpScheme.parse(" BLUE ")
         with pytest.raises(ValueError):
             PumpScheme.parse("green")
 
