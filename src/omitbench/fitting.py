@@ -4,9 +4,9 @@ Supports the joint (shared-parameter) scheme used for multi-condition
 datasets: a single mechanical frequency and linewidth can be tied across all
 traces taken at one temperature while cavity frequency and linewidth stay
 free per trace.  Residuals are magnitude differences; the optimizer is a
-Levenberg-Marquardt loop with the exact Jacobian of |S21| (closed-form derivatives; one
-kernel evaluation per dataset per trial point gives its residual and its Jacobian block
-over the slots it reads), normal equations summed from the blocks, scaled and decomposed,
+Levenberg-Marquardt loop with the exact Jacobian of |S21| (closed-form derivatives; one kernel
+evaluation per dataset per trial point gives its residual, and at an accepted point its Jacobian
+block over the slots it reads), normal equations summed from the blocks, scaled and decomposed,
 a flat penalty residual where the model rejects a point, damping from 1e-2 and bound projection.
 Positive rates (kappa, gamma_m, n_cav, g0) are optimized in log coordinates.
 """
@@ -14,6 +14,7 @@ Positive rates (kappa, gamma_m, n_cav, g0) are optimized in log coordinates.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -240,16 +241,16 @@ class FitProblem:
                 for fixed, slot_of in self._params]
 
 
-def residuals(problem: FitProblem, values) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Residual vector |S21_model| - |S21_data| over all datasets and its exact
-    Jacobian in internal coordinates (a log slot's row is scaled by its value).
+def residuals(problem: FitProblem, values) -> tuple[np.ndarray, Callable[[], dict]]:
+    """Residual vector |S21_model| - |S21_data| over all datasets and a closure for
+    its exact Jacobian in internal coordinates (a log slot's row is scaled by its value).
 
     ``values`` holds the physical slot values (rad/s, counts) in
-    ``problem.slot_names`` order.  One kernel evaluation per dataset gives both; the
-    Jacobian is a dict {i: block}, dataset i's (k, n_points) derivatives by the k
-    slots it reads, in ``problem._params[i]`` order.  A dataset the model rejects
-    (singular, unphysical or non-finite) gets the finite penalty value at every
-    point and, like a dataset with no slot, no block.  chi_c/D = (1 - S)/(kappa_ext/2)
+    ``problem.slot_names`` order.  One kernel evaluation per dataset gives the residual;
+    ``jacobian()`` builds from the same S21 a dict {i: block}, dataset i's (k, n_points)
+    derivatives by the k slots it reads, in ``problem._params[i]`` order.  A dataset the
+    model rejects (singular, unphysical or non-finite) gets the finite penalty value at
+    every point and, like a dataset with no slot, no block.  chi_c/D = (1 - S)/(kappa_ext/2)
     comes from the kernel's S, D its denominator (upper sign blue), and only chi_m
     is computed again: dS/dchi_c = -(kappa_ext/2)/D^2, dS/dchi_m = -/+ (kappa_ext/2)
     g0^2 n chi_c^2/D^2, dS/dkappa_ext = -chi_c/(2D), dS/d(g0^2 n) = -/+ (kappa_ext/2)
@@ -258,7 +259,7 @@ def residuals(problem: FitProblem, values) -> tuple[np.ndarray, dict[int, np.nda
     Re(conj(S) dS/dθ)/|S|, taken as 0 where S = 0.
     """
     r = np.full(problem.n_points, PENALTY_RESIDUAL)
-    blocks = {}
+    accepted = []
     for i, (ds, p, (_, slot_of), rows) in enumerate(zip(
             problem.datasets, problem.dataset_values(values), problem._params, problem._rows)):
         try:
@@ -272,28 +273,38 @@ def residuals(problem: FitProblem, values) -> tuple[np.ndarray, dict[int, np.nda
         except (SingularDenominator, ValueError):
             continue
         r[rows] = mag - ds.data
-        if not slot_of:
-            continue
-        w = np.divide(s21.conj(), mag, out=np.zeros_like(s21), where=mag > 0)
-        sign, coupling = ds.scheme.sign, p["g0"] ** 2 * p["n_cav"]
-        chi_m = mechanical_susceptibility(ds.offsets, mech, ds.scheme)
-        q = (1.0 - s21) / (0.5 * p["kappa_ext"])  # chi_c / D
-        wb = w * (0.5 * p["kappa_ext"]) * q * q  # w (kappa_ext/2) chi_c^2 / D^2
-        grads = {}
-        if slot_of.keys() & {"omega_c", "kappa"}:
-            grads.update(omega_c=-wb.imag, kappa=0.5 * wb.real)
-        if "kappa_ext" in slot_of:
-            grads.update(kappa_ext=-0.5 * (w * q).real)
-        if slot_of.keys() & {"g0", "n_cav"}:
-            d_coupling = -sign * (wb * chi_m).real  # d|S|/d(g0^2 n)
-            grads.update(g0=2.0 * p["g0"] * p["n_cav"] * d_coupling,
-                         n_cav=p["g0"] ** 2 * d_coupling)
-        if slot_of.keys() & {"omega_m", "gamma_m"}:
-            wm = coupling * wb * chi_m * chi_m
-            grads.update(omega_m=wm.imag, gamma_m=0.5 * sign * wm.real)
-        blocks[i] = np.array([grads[name] * p[name] if name in LOG_PARAMS else grads[name]
-                              for name in slot_of])
-    return r, blocks
+        if slot_of:
+            accepted.append((i, ds, p, slot_of, mech, s21, mag))
+
+    def jacobian():
+        blocks = {}
+        for i, ds, p, slot_of, mech, s21, mag in accepted:
+            half_ext, sign = 0.5 * p["kappa_ext"], ds.scheme.sign
+            # Times the reciprocal: numpy's complex division by c + 0i has these bits, slower.
+            w = s21.conj() * (1.0 / np.where(mag > 0, mag, np.inf))
+            chi_m = mechanical_susceptibility(ds.offsets, mech, ds.scheme)
+            q = (1.0 - s21) * (1.0 / half_ext)  # chi_c / D
+            wb = w * half_ext * q * q  # w (kappa_ext/2) chi_c^2 / D^2
+            terms = {}  # slot name: (array, factor); a log slot's row is then scaled by its value
+            if slot_of.keys() & {"omega_c", "kappa"}:
+                terms.update(omega_c=(wb.imag, -1.0), kappa=(wb.real, 0.5))
+            if "kappa_ext" in slot_of:
+                terms.update(kappa_ext=((w * q).real, -0.5))
+            if slot_of.keys() & {"g0", "n_cav"}:
+                d_coupling = -sign * (wb * chi_m).real  # d|S|/d(g0^2 n)
+                terms.update(g0=(d_coupling, 2.0 * p["g0"] * p["n_cav"]),
+                             n_cav=(d_coupling, p["g0"] ** 2))
+            if slot_of.keys() & {"omega_m", "gamma_m"}:
+                wm = p["g0"] ** 2 * p["n_cav"] * wb * chi_m * chi_m
+                terms.update(omega_m=(wm.imag, 1.0), gamma_m=(wm.real, 0.5 * sign))
+            blocks[i] = np.empty((len(slot_of), len(s21)))
+            for row, name in zip(blocks[i], slot_of):
+                np.multiply(*terms[name], out=row)
+                if name in LOG_PARAMS:
+                    row *= p[name]
+        return blocks
+
+    return r, jacobian
 
 
 @dataclass
@@ -304,7 +315,7 @@ class FitResult:
     units; uncertainties come from the eigendecomposition of the scaled normal
     matrix at the returned point times the reduced residual variance; a slot with
     weight in a direction cut by RANK_TOL (no dependence, squares that underflow,
-    or g0 and n_cav fitted together) has a NaN stderr.
+    or g0 and n_cav fitted together) has a NaN stderr, as has every slot at a penalty.
     ``cost_history`` is the sequence of accepted residual norms (monotone
     non-increasing).  ``termination`` says why the fit stopped:
     ``reduction_tol`` or ``step_tol`` (a relative tolerance was met),
@@ -357,10 +368,10 @@ def fit(problem: FitProblem) -> FitResult:
     step drops below 1e-10, capped at 200 iterations.  On hitting the cap, or when
     a dataset's residual at the returned point is the penalty, the best parameters
     so far are returned with ``converged=False``; ``termination`` names the reason.
-    Each trial point costs one kernel evaluation per dataset, which gives both the
-    residual and the Jacobian (a rejected trial's Jacobian goes unused); the scaled
-    normal equations are summed from its per-dataset blocks and decomposed at the
-    start and after each accepted step, and the standard errors reuse the last.
+    Each trial point costs one kernel evaluation per dataset, which gives the residual;
+    the Jacobian blocks are built from the same S21 only at the start and after each
+    accepted step.  There the scaled normal equations are summed from the blocks and
+    decomposed, and the standard errors reuse the last decomposition.
 
     Raises
     ------
@@ -375,14 +386,15 @@ def fit(problem: FitProblem) -> FitResult:
     lo = _to_internal(problem.lower_bounds, log_flags)
     hi = _to_internal(problem.upper_bounds, log_flags)
     x = np.clip(_to_internal(problem.init_values, log_flags), lo, hi)
-    r, blocks = residuals(problem, _to_physical(x, log_flags))
+    r, jacobian = residuals(problem, _to_physical(x, log_flags))
     rnorm = float(np.linalg.norm(r))
     history = [rnorm]
     lam = INITIAL_DAMPING
     iterations = 0
     termination = ("no_free_parameters" if n_par == 0 else
                    "zero_residual" if rnorm == 0.0 else None)
-    w, v, g, s = _normal_equations(problem, r, blocks)
+    w, v, g, s = _normal_equations(problem, r, jacobian())
+    del jacobian
 
     while termination is None and iterations < MAX_ITERATIONS:
         iterations += 1
@@ -392,29 +404,29 @@ def fit(problem: FitProblem) -> FitResult:
         # coordinates (omega_c ~ 1e10 rad/s) mask meaningful motion in the
         # O(1) logarithmic coordinates and stop the loop early.
         step_rel = float(np.max(np.abs(x_trial - x) / (1.0 + np.abs(x))))
-        r_trial, blocks_trial = residuals(problem, _to_physical(x_trial, log_flags))
+        r_trial, jacobian = residuals(problem, _to_physical(x_trial, log_flags))
         rt_norm = float(np.linalg.norm(r_trial))
         if rt_norm < rnorm:
             drop = (rnorm - rt_norm) / rnorm
-            x, r, blocks, rnorm = x_trial, r_trial, blocks_trial, rt_norm
+            x, r, rnorm = x_trial, r_trial, rt_norm
             history.append(rnorm)
             lam /= DAMPING_FACTOR
-            w, v, g, s = _normal_equations(problem, r, blocks)
+            w, v, g, s = _normal_equations(problem, r, jacobian())
             termination = ("reduction_tol" if drop < REL_REDUCTION_TOL else
                            "step_tol" if step_rel < REL_STEP_TOL else
                            "zero_residual" if rnorm == 0.0 else None)
         else:
-            del r_trial, blocks_trial  # not alive beside the next trial's
             lam *= DAMPING_FACTOR
             # Damping has pinned the proposal; no reducing step exists.
             termination = "step_tol" if step_rel < REL_STEP_TOL else None
+        del r_trial, jacobian  # a trial's S21 arrays not alive beside the next trial's
 
-    # A dataset the model rejects at x gives a flat penalty with a zero
-    # Jacobian, so the loop stops there without having fitted anything.
+    # A dataset the model rejects at x gives a flat penalty with a zero Jacobian, so the loop
+    # stops there without having fitted anything; its rows would swamp s², so no errors.
     kept = np.ones(n_pts, dtype=bool)
     for rows in problem._rows:
         if np.all(r[rows] == PENALTY_RESIDUAL):
-            r[rows], kept[rows], termination = math.nan, False, "penalty"
+            r[rows], kept[rows], termination, rnorm = math.nan, False, "penalty", math.nan
     n_kept = int(kept.sum())
     rms = float(np.linalg.norm(r[kept])) / math.sqrt(n_kept) if n_kept else math.nan
     values_phys = _to_physical(x, log_flags)

@@ -5,6 +5,7 @@ generator rather than against any external fitter.
 
 import math
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -412,8 +413,9 @@ class TestFit:
 
     def test_one_kernel_evaluation_per_dataset_per_jacobian(self, monkeypatch):
         # Every dataset is evaluated once for the start point and once per
-        # trial step, accepted or rejected; that one evaluation gives both the
-        # residual and the Jacobian, so no accepted point is evaluated again.
+        # trial step, accepted or rejected; that one evaluation gives the residual
+        # and, at an accepted point, the S21 the Jacobian blocks are built from, so
+        # no accepted point is evaluated again.
         prob = joint_six_problem()
         calls = []
 
@@ -535,11 +537,68 @@ def internal_start(problem):
 def dense_residuals(problem, values):
     """``residuals`` with its Jacobian blocks written into the dense
     (n_points, n_parameters) matrix they stand for, zero where no block is."""
-    r, blocks = residuals(problem, values)
+    r, make_blocks = residuals(problem, values)
     jac = np.zeros((problem.n_points, problem.n_parameters))
-    for i, block in blocks.items():
+    for i, block in make_blocks().items():
         jac[problem._rows[i], list(problem._params[i][1].values())] = block.T
     return r, jac
+
+
+def reference_blocks(problem, values):
+    """The Jacobian blocks by the arithmetic ``residuals`` used before it wrote them in
+    place: divisions by |S| and kappa_ext/2, each row a new array, stacked by np.array."""
+    blocks = {}
+    for i, (ds, p, (_, slot_of)) in enumerate(zip(
+            problem.datasets, problem.dataset_values(values), problem._params)):
+        try:
+            mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
+            s21 = probe_transmission(
+                ds.offsets, PumpConfig(ds.scheme, ds.omega_d - p["omega_c"], n_cav=p["n_cav"]),
+                CavityParams(p["omega_c"], p["kappa"], p["kappa_ext"]), mech)
+        except (model.SingularDenominator, ValueError):
+            continue
+        mag = np.abs(s21)
+        if not slot_of or not np.isfinite(mag).all():
+            continue
+        w = np.divide(s21.conj(), mag, out=np.zeros_like(s21), where=mag > 0)
+        sign, coupling = ds.scheme.sign, p["g0"] ** 2 * p["n_cav"]
+        chi_m = model.mechanical_susceptibility(ds.offsets, mech, ds.scheme)
+        q = (1.0 - s21) / (0.5 * p["kappa_ext"])
+        wb = w * (0.5 * p["kappa_ext"]) * q * q
+        d_coupling = -sign * (wb * chi_m).real
+        wm = coupling * wb * chi_m * chi_m
+        grads = dict(omega_c=-wb.imag, kappa=0.5 * wb.real, kappa_ext=-0.5 * (w * q).real,
+                     g0=2.0 * p["g0"] * p["n_cav"] * d_coupling, n_cav=p["g0"] ** 2 * d_coupling,
+                     omega_m=wm.imag, gamma_m=0.5 * sign * wm.real)
+        blocks[i] = np.array([grads[name] * p[name] if name in fitting.LOG_PARAMS else grads[name]
+                              for name in slot_of])
+    return blocks
+
+
+def assert_blocks_equal_the_reference(problem, values):
+    blocks, ref = residuals(problem, values)[1](), reference_blocks(problem, values)
+    assert list(blocks) == list(ref)
+    for i in ref:
+        assert np.array_equal(blocks[i], ref[i]), i
+
+
+def single_trace_problem(scheme, kappa_ext_hz=KAPPA_EXT_HZ):
+    """One noisy 1601-point trace with the joint fit's free slots, started off the truth."""
+    n_cav = N_RED_MAX if scheme is PumpScheme.RED else N_BLUE_MAX
+    trace, cav, _ = make_trace(scheme, 84e3, n_cav, points=1601, noise_sigma=0.01, seed=5,
+                               kappa_ext_hz=kappa_ext_hz)
+    bindings = fixed_bindings(cav, MECH, n_cav)
+    bindings["omega_c"] = ParamBinding.free(
+        "omega_c", cav.omega_c + 0.2 * cav.kappa, cav.omega_c - 5 * cav.kappa,
+        cav.omega_c + 5 * cav.kappa)
+    bindings["kappa"] = ParamBinding.free(
+        "kappa", 1.05 * cav.kappa, 0.5 * cav.kappa, 2 * cav.kappa)
+    bindings["omega_m"] = ParamBinding.free(
+        "omega_m", MECH.omega_m + TWO_PI * 2.0, MECH.omega_m - TWO_PI * 200,
+        MECH.omega_m + TWO_PI * 200)
+    bindings["gamma_m"] = ParamBinding.free(
+        "gamma_m", TWO_PI * 18.0, TWO_PI * 2.0, TWO_PI * 200.0)
+    return FitProblem([FitDataset(trace, scheme, bindings)])
 
 
 def jacobian(problem, x):
@@ -595,6 +654,21 @@ class TestSparseJacobian:
             assert scale > 0, slot
             assert np.max(np.abs(jac[:, j] - ref[:, j])) <= 1e-5 * scale, slot
 
+    @pytest.mark.parametrize("at", ["start", "fitted"])
+    @pytest.mark.parametrize("problem", [
+        joint_six_problem, partial(single_trace_problem, PumpScheme.RED),
+        partial(single_trace_problem, PumpScheme.BLUE),
+        partial(single_trace_problem, PumpScheme.RED, 840.0),
+        partial(all_free_problem, PumpScheme.RED), partial(all_free_problem, PumpScheme.BLUE)],
+        ids=["joint-six", "red", "blue", "red-undercoupled", "all-free-red", "all-free-blue"])
+    def test_blocks_keep_the_bits_of_the_reference_arithmetic(self, problem, at):
+        # Multiplying by 1/|S| and 1/(kappa_ext/2) gives the bits of numpy's complex
+        # division by c + 0i; the all-free problems reach the kappa_ext, g0 and n_cav rows.
+        prob = problem()
+        values = (fitting._to_physical(internal_start(prob), prob._log_flags) if at == "start"
+                  else np.array(list(fit(prob).values.values())))
+        assert_blocks_equal_the_reference(prob, values)
+
     def test_columns_fill_only_the_rows_of_datasets_that_read_the_slot(self):
         prob = joint_six_problem()
         jac = jacobian(prob, internal_start(prob))
@@ -616,13 +690,16 @@ class TestSparseJacobian:
         whole = joint_six_problem()
         jac = jacobian(prob, internal_start(prob))
         ref = jacobian(whole, internal_start(whole))
-        blocks = residuals(prob, fitting._to_physical(internal_start(prob), prob._log_flags))[1]
+        blocks = residuals(prob, fitting._to_physical(internal_start(prob), prob._log_flags))[1]()
         assert sorted(blocks) == [1, 2, 3, 4, 5]
         assert not np.any(jac[prob._rows[0]])
         others = slice(prob._rows[1].start, None)
         for j, slot in enumerate(prob.slot_names):
             assert np.array_equal(jac[others, j], ref[others, whole.slot_names.index(slot)])
-        assert fit(prob).termination == "penalty"
+        # The penalty rows would inflate the residual variance, and every error with it.
+        result = fit(prob)
+        assert result.termination == "penalty"
+        assert np.all(np.isnan(list(result.stderr.values())))
 
     def test_non_finite_transmission_gets_the_penalty(self, monkeypatch):
         # One NaN sample from the kernel for dataset 0 rejects that whole
@@ -658,7 +735,8 @@ class TestSparseJacobian:
         prob, decomposed = joint_six_problem(), []
         values = (fitting._to_physical(internal_start(prob), prob._log_flags) if at == "start"
                   else np.array(list(fit(prob).values.values())))
-        r, blocks = residuals(prob, values)
+        r, make_blocks = residuals(prob, values)
+        blocks = make_blocks()
         dense = dense_residuals(prob, values)[1]
         assert sorted(blocks) == list(range(6))
         assert all(block.shape == (4, 201) for block in blocks.values())
@@ -694,19 +772,19 @@ class TestSparseJacobian:
             "kappa", 1.1 * cav.kappa, 0.3 * cav.kappa, 3 * cav.kappa)
         fixed = FitDataset(held, PumpScheme.RED, fixed_bindings(cav, MECH, N_RED_MAX))
         prob = FitProblem([FitDataset(pumped, PumpScheme.RED, free), fixed])
-        r, blocks = residuals(prob, prob.init_values)
+        r, make_blocks = residuals(prob, prob.init_values)
+        blocks = make_blocks()
         assert list(blocks) == [0] and blocks[0].shape == (1, 201)
-        r_alone, blocks_alone = residuals(FitProblem([fixed]), [])
-        assert np.array_equal(r[prob._rows[1]], r_alone) and blocks_alone == {}
+        r_alone, make_blocks_alone = residuals(FitProblem([fixed]), [])
+        assert np.array_equal(r[prob._rows[1]], r_alone) and make_blocks_alone() == {}
         result = fit(prob)
         assert result.converged
         assert result.values["kappa[0]"] == pytest.approx(cav.kappa, rel=0.02)
         assert np.isfinite(result.stderr["kappa[0]"]) and result.stderr["kappa[0]"] > 0
 
-    def test_one_kernel_evaluation_per_dataset(self, monkeypatch):
-        # The kernel computes both susceptibilities; the Jacobian reads
-        # chi_c/D from S21 and computes only chi_m again.
-        prob = joint_six_problem()
+    @staticmethod
+    def _count_model_calls(monkeypatch):
+        """Count the kernel's calls and each susceptibility's, in the kernel or outside."""
         counts, depth = Counter(), [0]
         for module, name in [(fitting, "probe_transmission"), (model, "cavity_susceptibility"),
                              (model, "mechanical_susceptibility"),
@@ -720,11 +798,31 @@ class TestSparseJacobian:
                     depth[0] -= _name == "probe_transmission"
 
             monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_one_kernel_evaluation_per_dataset(self, monkeypatch):
+        # The kernel computes both susceptibilities; the Jacobian blocks read
+        # chi_c/D from S21 and compute only chi_m again.
+        prob = joint_six_problem()
+        counts = self._count_model_calls(monkeypatch)
         jacobian(prob, internal_start(prob))
         assert counts == {("probe_transmission", "outside"): 6,
                           ("cavity_susceptibility", "in kernel"): 6,
                           ("mechanical_susceptibility", "in kernel"): 6,
                           ("mechanical_susceptibility", "outside"): 6}
+
+    def test_blocks_built_only_at_accepted_points(self, monkeypatch):
+        # The kernel runs at the start and at every trial step; the blocks, and
+        # with them chi_m outside the kernel, only at the start and each accepted step.
+        prob = joint_six_problem()
+        counts = self._count_model_calls(monkeypatch)
+        result = fit(prob)
+        assert result.iterations > len(result.cost_history) - 1  # a rejected trial
+        n = len(prob.datasets)
+        assert counts == {("probe_transmission", "outside"): n * result.n_residual_evals,
+                          ("cavity_susceptibility", "in kernel"): n * result.n_residual_evals,
+                          ("mechanical_susceptibility", "in kernel"): n * result.n_residual_evals,
+                          ("mechanical_susceptibility", "outside"): n * len(result.cost_history)}
 
     def test_stderr_from_the_jacobian_at_the_returned_point(self, monkeypatch):
         # The fit's last trial is rejected: a Jacobian kept from that trial, not
@@ -740,9 +838,9 @@ class TestSparseJacobian:
         result = fit(prob)
         assert norms[-1] > result.cost_history[-1]
         values = np.array(list(result.values.values()))
-        r, blocks = residuals(prob, values)
+        r, make_blocks = residuals(prob, values)
         assert np.array_equal(r, result.residuals)
-        w, v, _, scale = fitting._normal_equations(prob, r, blocks)
+        w, v, _, scale = fitting._normal_equations(prob, r, make_blocks())
         dense = dense_residuals(prob, values)[1]
         expected = fitting._uncertainties(prob.n_points, w, v, scale,
                                           float(np.linalg.norm(r)), values, prob._log_flags)
@@ -774,6 +872,8 @@ class TestSparseJacobian:
         assert zero.tolist() == [300]
         assert np.all(jac[zero] == 0)
         assert np.all(np.isfinite(jac)) and np.all(np.any(jac, axis=0))
+        assert_blocks_equal_the_reference(
+            prob, fitting._to_physical(internal_start(prob), prob._log_flags))
 
     def test_stderr_nan_for_a_slot_its_only_reader_ignores(self):
         # Trace 1 has the pump off, so its free g0 moves nothing; gamma_m is
