@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -126,19 +125,6 @@ def _display_mag(value: float, db: bool) -> str:
     return f"{value:.6f}"
 
 
-@contextmanager
-def _pump_context(pump: PumpConfig):
-    """Name the pump condition in a singular-response error."""
-    try:
-        yield
-    except SingularDenominator as exc:
-        drive = (f"n_cav={pump.n_cav:g}" if pump.n_cav is not None
-                 else f"p_in={pump.p_in:g} W")
-        raise SingularDenominator(
-            f"singular response at scheme={pump.scheme.value}, "
-            f"detuning_hz={pump.delta / TWO_PI:g}, {drive}: {exc}") from exc
-
-
 def _resolve_pumps(cfg: RunConfig, scheme, detuning_hz, ncav, power_dbm, power_w=None):
     """Pump list for simulate/map/photons: CLI overrides win over the config list."""
     strengths = {"--ncav": ncav, "--power-dbm": power_dbm, "--power-w": power_w}
@@ -229,12 +215,9 @@ def simulate(state: CliState, scheme, detuning_hz, ncav, power_dbm, points,
     pumps = _resolve_pumps(cfg, scheme, detuning_hz, ncav, power_dbm)
     n_points = points if points is not None else cfg.grid.points
     for i, pump in enumerate(pumps):
-        with _pump_context(pump):
-            grid = default_line_grid(pump, cfg.cavity, cfg.mechanics,
-                                     points=n_points,
-                                     half_width_gamma_eff=cfg.grid.half_width_gamma_eff)
-            trace = simulate_line_cut(pump, cfg.cavity, cfg.mechanics, grid,
-                                      meta=cfg.meta)
+        grid = default_line_grid(pump, cfg.cavity, cfg.mechanics, points=n_points,
+                                 half_width_gamma_eff=cfg.grid.half_width_gamma_eff)
+        trace = simulate_line_cut(pump, cfg.cavity, cfg.mechanics, grid, meta=cfg.meta)
         if cfg.noise is not None:
             seed = state.seed if state.seed is not None else cfg.noise.seed
             trace = add_noise(trace, replace(cfg.noise, seed=seed + i))
@@ -264,18 +247,14 @@ def map_cmd(state: CliState, scheme, ncav, power_dbm, svg_path):
     out = _require_out(state)
     pump = _resolve_pumps(cfg, scheme, None, ncav, power_dbm)[0]
     aligned = replace(pump, delta=pump.scheme.aligned_detuning(cfg.mechanics.omega_m))
-    with _pump_context(pump):
-        delta_grid = default_delta_grid(
-            pump.scheme, cfg.cavity, cfg.mechanics,
-            points=cfg.grid.map_delta_points,
-            half_width_kappa=cfg.grid.map_half_width_kappa)
-        omega_grid = default_line_grid(
-            aligned, cfg.cavity, cfg.mechanics,
-            points=cfg.grid.map_omega_points,
-            half_width_gamma_eff=cfg.grid.half_width_gamma_eff)
-        smap = simulate_map(pump.scheme, cfg.cavity, cfg.mechanics,
-                            delta_grid, omega_grid,
-                            n_cav=pump.n_cav, p_in=pump.p_in, meta=cfg.meta)
+    delta_grid = default_delta_grid(pump.scheme, cfg.cavity, cfg.mechanics,
+                                    points=cfg.grid.map_delta_points,
+                                    half_width_kappa=cfg.grid.map_half_width_kappa)
+    omega_grid = default_line_grid(aligned, cfg.cavity, cfg.mechanics,
+                                   points=cfg.grid.map_omega_points,
+                                   half_width_gamma_eff=cfg.grid.half_width_gamma_eff)
+    smap = simulate_map(pump.scheme, cfg.cavity, cfg.mechanics, delta_grid, omega_grid,
+                        n_cav=pump.n_cav, p_in=pump.p_in, meta=cfg.meta)
     write_map(out, smap)
     values = smap.s21_mag
     click.echo(f"{out}: {values.shape[0]}x{values.shape[1]} map, "

@@ -83,7 +83,8 @@ class SingularDenominator(Exception):
     """Linear response is singular: at or past the parametric instability.
 
     Raised for a blue pump whose mechanical pole width is at or below
-    :data:`DENOMINATOR_GUARD` times gamma_m: the mode self-oscillates.
+    :data:`DENOMINATOR_GUARD` times gamma_m: the mode self-oscillates.  The
+    message names the pump's scheme, detuning (Hz) and drive.
     """
 
 
@@ -131,10 +132,10 @@ class CavityParams:
     kappa_ext: float
 
     def __post_init__(self):
-        if not self.omega_c > 0:
-            raise ValueError("omega_c must be positive")
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
+        if not 0 < self.omega_c < cmath.inf:
+            raise ValueError("omega_c must be a finite positive number")
+        if not 0 < self.kappa < cmath.inf:
+            raise ValueError("kappa must be a finite positive number")
         if not 0 < self.kappa_ext <= self.kappa:
             raise ValueError("kappa_ext must satisfy 0 < kappa_ext <= kappa")
 
@@ -162,10 +163,10 @@ class MechanicalParams:
     g0: float
 
     def __post_init__(self):
-        if not self.omega_m > 0:
-            raise ValueError("omega_m must be positive")
-        if not self.gamma_m > 0:
-            raise ValueError("gamma_m must be positive")
+        if not 0 < self.omega_m < cmath.inf:
+            raise ValueError("omega_m must be a finite positive number")
+        if not 0 < self.gamma_m < cmath.inf:
+            raise ValueError("gamma_m must be a finite positive number")
         if not cmath.isfinite(self.g0):
             raise ValueError("g0 must be a finite number")
         if self.g0 < 0:
@@ -342,7 +343,7 @@ def probe_transmission(omega, pump: PumpConfig, cav: CavityParams, mech: Mechani
     SingularDenominator
         If a blue pump with n_cav > 0 has a :func:`mechanical_pole` width at or
         below :data:`DENOMINATOR_GUARD` times gamma_m, or a NaN pole, whatever
-        the probe grid; a red pump is always stable.
+        the probe grid; the message names the pump.  A red pump is always stable.
     ValueError
         If the probe grid ``omega`` is empty.
     """
@@ -350,9 +351,11 @@ def probe_transmission(omega, pump: PumpConfig, cav: CavityParams, mech: Mechani
     if pump.scheme is PumpScheme.BLUE and n_cav > 0:
         width = -2.0 * mechanical_pole(pump, cav, mech).imag
         if not width > DENOMINATOR_GUARD * mech.gamma_m:
+            drive = f"n_cav={pump.n_cav:g}" if pump.n_cav is not None else f"p_in={pump.p_in:g} W"
             raise SingularDenominator(
-                "blue pumping past the parametric instability (mechanical pole width "
-                f"{width / TWO_PI:.6g} Hz); steady-state response is undefined")
+                f"singular response at scheme=blue, detuning_hz={pump.delta / TWO_PI:g}, "
+                f"{drive}: blue pumping past the parametric instability (mechanical pole "
+                f"width {width / TWO_PI:.6g} Hz); steady-state response is undefined")
     scalar = np.ndim(omega) == 0
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if omega.size == 0:

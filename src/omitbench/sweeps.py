@@ -19,7 +19,6 @@ from .model import (
     MechanicalParams,
     PumpConfig,
     PumpScheme,
-    SingularDenominator,
     cooperativity,
     effective_linewidth,
     intracavity_photon_number,
@@ -61,8 +60,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be a finite non-negative number")
 
 
 @dataclass(frozen=True)
@@ -219,7 +218,7 @@ def simulate_map(scheme: PumpScheme, cav: CavityParams, mech: MechanicalParams,
     Raises
     ------
     SingularDenominator
-        Propagated, annotated with the offending detuning row.
+        Propagated from the model, naming the first unstable row's detuning.
     ValueError
         If ``meta`` sets a key that omitbench records itself (scheme, pump, drive, noise).
     """
@@ -230,11 +229,7 @@ def simulate_map(scheme: PumpScheme, cav: CavityParams, mech: MechanicalParams,
     rows = np.empty((len(delta_grid), len(omega_grid)))
     for r, delta in enumerate(delta_grid):
         pump = replace(base, delta=float(delta))
-        try:
-            rows[r] = np.abs(probe_transmission(omega_grid, pump, cav, mech))
-        except SingularDenominator as exc:
-            raise SingularDenominator(
-                f"map row {r} (detuning {delta / TWO_PI:.6f} Hz): {exc}") from exc
+        rows[r] = np.abs(probe_transmission(omega_grid, pump, cav, mech))
     drive = {"n_cav": float(n_cav)} if n_cav is not None else {"pump_power_w": float(p_in)}
     return SweepMap(delta=delta_grid, omega=omega_grid, s21_mag=rows,
                     meta={"scheme": scheme.value, **drive, **meta})

@@ -784,15 +784,24 @@ class TestErrorContract:
         pytest.param("--config blue.json --out x.csv simulate", 3,
                      SINGULAR_BLUE + PAST_THRESHOLD, id="singular-simulate"),
         pytest.param("--config blue.json --out x.csv map", 3,
-                     SINGULAR_BLUE + "map row 2 (detuning 3800000.000000 Hz): "
-                     + PAST_THRESHOLD, id="singular-map"),
+                     SINGULAR_BLUE + PAST_THRESHOLD, id="singular-map"),
         pytest.param("--config ncav.json fit undriven.csv", 2,
                      "binding n_cav: no init value available", id="config-binding-no-init"),
         pytest.param("--config blue.json --out x.csv map --power-dbm -46", 3,
                      "singular response at scheme=blue, detuning_hz=3.8e+06, "
-                     "p_in=2.51189e-08 W: map row 2 (detuning 3800000.000000 Hz): blue pumping "
+                     "p_in=2.51189e-08 W: blue pumping "
                      "past the parametric instability (mechanical pole width -7.55904 Hz); "
                      "steady-state response is undefined", id="singular-map-power"),
+        pytest.param("--config base.json --out x.csv map --scheme blue --ncav 1.2e6", 3,
+                     "singular response at scheme=blue, detuning_hz=3.7832e+06, n_cav=1.2e+06: "
+                     "blue pumping past the parametric instability (mechanical pole width "
+                     "-0.14904 Hz); steady-state response is undefined",
+                     id="singular-map-names-the-failing-row"),
+        pytest.param("--config base.json --out x.csv map --scheme blue --power-dbm -40", 3,
+                     "singular response at scheme=blue, detuning_hz=3.70424e+06, p_in=1e-07 W: "
+                     "blue pumping past the parametric instability (mechanical pole width "
+                     "-0.156999 Hz); steady-state response is undefined",
+                     id="singular-map-power-names-the-failing-row"),
         pytest.param("--config fit.json fit tiny.csv", 5,
                      "2 data points for 3 adjustable parameters", id="insufficient-data"),
         pytest.param("linewidth bare.csv", 6,

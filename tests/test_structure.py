@@ -5,6 +5,10 @@ a sibling module, or on any use of an underscore attribute of an object other
 than ``self`` outside ``fitting.py``, which owns the fitter's private state.
 Dunder names such as ``__setattr__`` are not private.
 
+Refusal check: only ``model.py`` constructs ``SingularDenominator``, whose
+message already names the refused pump, and no handler that catches it raises
+again, so no layer re-wraps the kernel's refusal.
+
 Export check: in each module that declares ``__all__``, every listed name
 exists and every public top-level function or class is listed.
 
@@ -77,6 +81,46 @@ def test_check_sees_a_private_reach(tmp_path):
                       "    return ds._data, self._own, object.__setattr__\n")
     assert private_reaches(sample) == ["sample.py:1: imports _helper",
                                        "sample.py:3: uses ._data"]
+
+
+def names_in(node):
+    """Every bare name and attribute name under ``node``."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+
+
+def refusal_rewraps(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and path.name != "model.py"
+                and "SingularDenominator" in names_in(node.func)):
+            found.append(f"{path.name}:{node.lineno}: constructs SingularDenominator")
+        elif (isinstance(node, ast.ExceptHandler) and node.type is not None
+              and "SingularDenominator" in names_in(node.type)):
+            found += [f"{path.name}:{n.lineno}: raises in a SingularDenominator handler"
+                      for n in ast.walk(node) if isinstance(n, ast.Raise)]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_kernel_states_a_refusal(path):
+    assert refusal_rewraps(path) == []
+
+
+def test_refusal_check_sees_a_rewrap(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from . import model\n"
+                      "def context(pump):\n"
+                      "    try:\n        yield\n"
+                      "    except model.SingularDenominator as exc:\n"
+                      "        raise model.SingularDenominator(f'{pump}: {exc}') from exc\n"
+                      "def penalty(row):\n"
+                      "    try:\n        return row()\n"
+                      "    except (SingularDenominator, ValueError):\n        raise\n")
+    assert sorted(refusal_rewraps(sample)) == [
+        "sample.py:11: raises in a SingularDenominator handler",
+        "sample.py:6: constructs SingularDenominator",
+        "sample.py:6: raises in a SingularDenominator handler"]
 
 
 # The sibling modules each module may import; cli, the top layer, may import any.

@@ -332,7 +332,8 @@ class TestMap:
         omega_grid = default_line_grid(blue_pump(n * 0.5), cav, MECH, points=51)
         delta_grid = default_delta_grid(PumpScheme.BLUE, cav, MECH, points=5)
         # Only the aligned middle row is past the threshold.
-        row = re.escape(f"map row 2 (detuning {delta_grid[2] / TWO_PI:.6f} Hz): ")
+        row = re.escape(f"singular response at scheme=blue, "
+                        f"detuning_hz={delta_grid[2] / TWO_PI:g}, n_cav={n:g}: ")
         with pytest.raises(SingularDenominator, match=f"^{row}blue pumping past"):
             simulate_map(PumpScheme.BLUE, cav, MECH, delta_grid, omega_grid,
                          n_cav=n)
@@ -345,7 +346,8 @@ class TestMap:
         n = (1.0 - 1e-10) * 83e3 * 15.3 / (4 * 0.56 ** 2)
         delta_grid = MECH.omega_m + np.array([-1.0, 0.0, 1.0]) * cav.kappa
         omega_grid = -MECH.omega_m + np.array([-1.0, 0.0, 1.0]) * MECH.gamma_m
-        row = re.escape(f"map row 1 (detuning {delta_grid[1] / TWO_PI:.6f} Hz): ")
+        row = re.escape(f"singular response at scheme=blue, "
+                        f"detuning_hz={delta_grid[1] / TWO_PI:g}, n_cav={n:g}: ")
         with pytest.raises(SingularDenominator,
                            match=f"^{row}blue pumping past the parametric instability"):
             simulate_map(PumpScheme.BLUE, cav, MECH, delta_grid, omega_grid, n_cav=n)
@@ -459,6 +461,11 @@ class TestNoise:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec(-0.1)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="^sigma must be a finite non-negative number$"):
+            NoiseSpec(sigma)
 
 
 class TestPowerConversion:
