@@ -214,6 +214,7 @@ def simulate(state: CliState, scheme, detuning_hz, ncav, power_dbm, points,
         raise ValueError(f"--points must be <= {MAX_LINE_POINTS}")
     pumps = _resolve_pumps(cfg, scheme, detuning_hz, ncav, power_dbm)
     n_points = points if points is not None else cfg.grid.points
+    traces = []  # every pump evaluated before any file is written: a refusal leaves none
     for i, pump in enumerate(pumps):
         grid = default_line_grid(pump, cfg.cavity, cfg.mechanics, points=n_points,
                                  half_width_gamma_eff=cfg.grid.half_width_gamma_eff)
@@ -221,7 +222,8 @@ def simulate(state: CliState, scheme, detuning_hz, ncav, power_dbm, points,
         if cfg.noise is not None:
             seed = state.seed if state.seed is not None else cfg.noise.seed
             trace = add_noise(trace, replace(cfg.noise, seed=seed + i))
-        data = DatasetFile.from_trace(trace)
+        traces.append((trace, DatasetFile.from_trace(trace)))
+    for i, (trace, data) in enumerate(traces):
         path = _numbered(out, i, len(pumps))
         write_dataset(path, data)
         mag = data.s21_mag

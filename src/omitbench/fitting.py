@@ -4,10 +4,10 @@ Supports the joint (shared-parameter) scheme used for multi-condition
 datasets: a single mechanical frequency and linewidth can be tied across all
 traces taken at one temperature while cavity frequency and linewidth stay
 free per trace.  Residuals are magnitude differences; the optimizer is a
-Levenberg-Marquardt loop with the exact Jacobian of |S21| (closed-form derivatives; one kernel
-evaluation per dataset per trial point gives its residual, and at an accepted point its Jacobian
-block over the slots it reads), normal equations summed from the blocks, scaled and decomposed,
-a flat penalty residual where the model rejects a point, damping from 1e-2 and bound projection.
+Levenberg-Marquardt loop with the exact Jacobian of |S21| (closed-form derivatives from one
+evaluation of Q and N per dataset per trial; see :func:`residuals`), normal equations summed
+from the blocks, scaled and decomposed, a flat penalty residual where the model rejects a point,
+damping from 1e-2 and bound projection.
 Positive rates (kappa, gamma_m, n_cav, g0) are optimized in log coordinates.
 """
 
@@ -26,9 +26,7 @@ from .model import (
     MechanicalParams,
     PumpConfig,
     PumpScheme,
-    SingularDenominator,
-    mechanical_susceptibility,
-    probe_transmission,
+    response_quadratic,
 )
 from .sweeps import SweepTrace
 
@@ -189,18 +187,17 @@ class FitProblem:
             raise ValueError("need at least one dataset")
         self.datasets = list(datasets)
         slots: dict[str, ParamBinding] = {}
-        # Per dataset: the fixed parameter values and the slot index of
-        # every other parameter.
-        self._params: list[tuple[dict[str, float], dict[str, int]]] = []
+        self._slot_of: list[dict[str, int]] = []  # per dataset: each unfixed parameter's slot
+        fixed = []  # the fixed values, by dataset and then in PARAM_NAMES order
         for i, ds in enumerate(self.datasets):
             missing = [n for n in PARAM_NAMES if n not in ds.bindings]
             if missing:
                 raise ValueError(f"dataset {i}: bindings incomplete; missing {missing}")
-            fixed, slot_of = {}, {}
+            slot_of = {}
             for name in PARAM_NAMES:
                 b = ds.bindings[name]
                 if b.mode == "fixed":
-                    fixed[name] = float(b.init)
+                    fixed.append(float(b.init))
                     continue
                 key = f"{name}[{i}]" if b.mode == "free" else f"{name}@{b.group}"
                 prev = slots.setdefault(key, b)
@@ -209,13 +206,17 @@ class FitProblem:
                         f"inconsistent shared binding {key}: "
                         f"{(b.init, b.lo, b.hi)} vs {(prev.init, prev.lo, prev.hi)}")
                 slot_of[name] = list(slots).index(key)
-            self._params.append((fixed, slot_of))
+            self._slot_of.append(slot_of)
+        # Each dataset's PARAM_NAMES as places in the slot vector extended by the fixed values.
+        self._fixed_values = np.array(fixed)
+        at = iter(range(len(slots), len(slots) + len(fixed)))
+        self._index = np.array([[slot_of[n] if n in slot_of else next(at) for n in PARAM_NAMES]
+                                for slot_of in self._slot_of], dtype=np.intp)
         # Each dataset's rows in the stacked residual.
         ends = np.cumsum([0] + [ds.n_points for ds in self.datasets]).tolist()
         self._rows = [slice(a, b) for a, b in zip(ends, ends[1:])]
         # Each dataset's slots (its Jacobian block's rows) and their flat places in JᵀJ.
-        self._slots = [np.array(list(slot_of.values()), dtype=np.intp)
-                       for _, slot_of in self._params]
+        self._slots = [np.array(list(slot_of.values()), dtype=np.intp) for slot_of in self._slot_of]
         self._pairs = [(j[:, None] * len(slots) + j).ravel() for j in self._slots]
 
         bindings = list(slots.values())
@@ -232,76 +233,89 @@ class FitProblem:
 
     @property
     def n_points(self) -> int:
-        return sum(ds.n_points for ds in self.datasets)
+        return self._rows[-1].stop
 
     def dataset_values(self, values) -> list[dict[str, float]]:
         """Resolve the full parameter dict of every dataset from a slot vector."""
-        values = np.asarray(values, dtype=float).tolist()
-        return [{**fixed, **{name: values[j] for name, j in slot_of.items()}}
-                for fixed, slot_of in self._params]
+        return [dict(zip(PARAM_NAMES, p)) for p in self._resolve(values)]
+
+    def _resolve(self, values) -> list[list[float]]:
+        """Each dataset's parameter values in PARAM_NAMES order."""
+        return np.concatenate((np.asarray(values, dtype=float), self._fixed_values))[
+            self._index].tolist()
 
 
 def residuals(problem: FitProblem, values) -> tuple[np.ndarray, Callable[[], dict]]:
     """Residual vector |S21_model| - |S21_data| over all datasets and a closure for
     its exact Jacobian in internal coordinates (a log slot's row is scaled by its value).
 
-    ``values`` holds the physical slot values (rad/s, counts) in
-    ``problem.slot_names`` order.  One kernel evaluation per dataset gives the residual;
-    ``jacobian()`` builds from the same S21 a dict {i: block}, dataset i's (k, n_points)
-    derivatives by the k slots it reads, in ``problem._params[i]`` order.  A dataset the
-    model rejects (singular, unphysical or non-finite) gets the finite penalty value at
-    every point and, like a dataset with no slot, no block.  chi_c/D = (1 - S)/(kappa_ext/2)
-    comes from the kernel's S, D its denominator (upper sign blue), and only chi_m
-    is computed again: dS/dchi_c = -(kappa_ext/2)/D^2, dS/dchi_m = -/+ (kappa_ext/2)
-    g0^2 n chi_c^2/D^2, dS/dkappa_ext = -chi_c/(2D), dS/d(g0^2 n) = -/+ (kappa_ext/2)
-    chi_c^2 chi_m/D^2; dchi_c/domega_c = -i chi_c^2, dchi_c/dkappa = -chi_c^2/2,
-    dchi_m/domega_m = +/- i chi_m^2, dchi_m/dgamma_m = -chi_m^2/2; d|S|/dθ =
-    Re(conj(S) dS/dθ)/|S|, taken as 0 where S = 0.
+    ``values`` holds the physical slot values (rad/s, counts) in ``problem.slot_names`` order.
+    Per dataset one :func:`~omitbench.model.response_quadratic` gives Q and N, and |S21| =
+    sqrt(|N|^2/|Q|^2) the residual; ``jacobian()`` builds from the same arrays a dict {i: block},
+    dataset i's (k, n_points) derivatives by the k slots it reads, in ``problem._slot_of[i]``
+    order.  A dataset the model rejects (a parameter out of range, a blue pump past threshold,
+    or a non-finite |S21|) gets the finite penalty value at every point and, like a dataset with
+    no slot, no block.  With S = N/Q, m = gamma_m/2 - i (Omega +/- omega_m) and
+    A = (kappa_ext/2) conj(N Q)/(|Q|^4 |S|), 0 where S = 0, d|S|/domega_c = -Im(m^2 A),
+    d|S|/dkappa = Re(m^2 A)/2, d|S|/domega_m = g0^2 n Im A, d|S|/dgamma_m = +/- g0^2 n Re(A)/2,
+    d|S|/d(g0^2 n) = -/+ Re(m A) and d|S|/dkappa_ext = -Re(m conj N)/(2 |Q| |N|), the upper
+    signs blue's.
     """
     r = np.full(problem.n_points, PENALTY_RESIDUAL)
+    # One buffer per evaluation: Re Q, Im Q, Re N, Im N, |Q|^2, |S21| and the block rows.  Dozens
+    # of arrays per evaluation would have the allocator return and fault in memory every trial.
+    work = np.empty((6 + max(map(len, problem._slots)), problem.n_points))
     accepted = []
-    for i, (ds, p, (_, slot_of), rows) in enumerate(zip(
-            problem.datasets, problem.dataset_values(values), problem._params, problem._rows)):
+    for i, (ds, p, slot_of, rows) in enumerate(zip(
+            problem.datasets, problem._resolve(values), problem._slot_of, problem._rows)):
+        omega_c, kappa, kappa_ext, omega_m, gamma_m, g0, n_cav = p
+        delta = ds.omega_d - omega_c
         try:
-            cav = CavityParams(p["omega_c"], p["kappa"], p["kappa_ext"])
-            mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
-            pump = PumpConfig(ds.scheme, ds.omega_d - p["omega_c"], n_cav=p["n_cav"])
-            s21 = probe_transmission(ds.offsets, pump, cav, mech)
-            mag = np.abs(s21)
-            if not np.isfinite(mag).all():
-                raise ValueError("|S21| is not finite")
-        except (SingularDenominator, ValueError):
+            CavityParams.check(omega_c, kappa, kappa_ext)
+            MechanicalParams.check(omega_m, gamma_m, g0)
+            PumpConfig.check(delta, n_cav)
+        except ValueError:
             continue
-        r[rows] = mag - ds.data
+        terms = response_quadratic(ds.offsets, delta, kappa, kappa_ext, omega_m, gamma_m,
+                                   g0 * g0 * n_cav, ds.scheme, out=work[:4, rows])
+        if terms is None:
+            continue
+        (re_q, im_q, re_n, im_n), (qq, mag) = terms, work[4:6, rows]
+        np.add(re_q * re_q, im_q * im_q, out=qq)
+        np.sqrt(np.divide(np.add(re_n * re_n, im_n * im_n, out=mag), qq, out=mag), out=mag)
+        if not mag.max() < math.inf:  # NaN fails too
+            continue
+        np.subtract(mag, ds.data, out=r[rows])
         if slot_of:
-            accepted.append((i, ds, p, slot_of, mech, s21, mag))
+            accepted.append((i, ds, p, slot_of, rows))
 
     def jacobian():
         blocks = {}
-        for i, ds, p, slot_of, mech, s21, mag in accepted:
-            half_ext, sign = 0.5 * p["kappa_ext"], ds.scheme.sign
-            # Times the reciprocal: numpy's complex division by c + 0i has these bits, slower.
-            w = s21.conj() * (1.0 / np.where(mag > 0, mag, np.inf))
-            chi_m = mechanical_susceptibility(ds.offsets, mech, ds.scheme)
-            q = (1.0 - s21) * (1.0 / half_ext)  # chi_c / D
-            wb = w * half_ext * q * q  # w (kappa_ext/2) chi_c^2 / D^2
-            terms = {}  # slot name: (array, factor); a log slot's row is then scaled by its value
-            if slot_of.keys() & {"omega_c", "kappa"}:
-                terms.update(omega_c=(wb.imag, -1.0), kappa=(wb.real, 0.5))
-            if "kappa_ext" in slot_of:
-                terms.update(kappa_ext=((w * q).real, -0.5))
-            if slot_of.keys() & {"g0", "n_cav"}:
-                d_coupling = -sign * (wb * chi_m).real  # d|S|/d(g0^2 n)
-                terms.update(g0=(d_coupling, 2.0 * p["g0"] * p["n_cav"]),
-                             n_cav=(d_coupling, p["g0"] ** 2))
-            if slot_of.keys() & {"omega_m", "gamma_m"}:
-                wm = p["g0"] ** 2 * p["n_cav"] * wb * chi_m * chi_m
-                terms.update(omega_m=(wm.imag, 1.0), gamma_m=(wm.real, 0.5 * sign))
-            blocks[i] = np.empty((len(slot_of), len(s21)))
-            for row, name in zip(blocks[i], slot_of):
-                np.multiply(*terms[name], out=row)
-                if name in LOG_PARAMS:
-                    row *= p[name]
+        for i, ds, p, slot_of, rows in accepted:
+            re_q, im_q, re_n, im_n, qq, mag = work[:6, rows]
+            _, kappa, kappa_ext, omega_m, gamma_m, g0, n_cav = p
+            sign, b, g2n = ds.scheme.sign, 0.5 * gamma_m, g0 * g0 * n_cav
+            u = ds.offsets + sign * omega_m  # m = b - i u
+            den = qq * qq * mag  # h = 0 where S = 0; the masked division is twice as slow
+            h = (0.5 * kappa_ext / den if den.min() > 0 else
+                 np.divide(0.5 * kappa_ext, den, out=np.zeros_like(den), where=den > 0))
+            re_a = h * (re_n * re_q - im_n * im_q)  # A = h conj(N Q)
+            neg_im_a = h * (re_n * im_q + im_n * re_q)
+            re_m2, two_bu = b * b - u * u, (2.0 * b) * u  # m^2 = re_m2 - i two_bu
+            blocks[i] = work[6:6 + len(slot_of), rows]
+            for name, row in zip(slot_of, blocks[i]):  # a log slot's factor holds its value
+                if name == "omega_c":  # -Im(m^2 A)
+                    np.add(re_m2 * neg_im_a, two_bu * re_a, out=row)
+                elif name == "kappa":  # Re(m^2 A)/2
+                    np.multiply(re_m2 * re_a - two_bu * neg_im_a, 0.5 * kappa, out=row)
+                elif name == "omega_m":  # g0^2 n Im A
+                    np.multiply(neg_im_a, -g2n, out=row)
+                elif name == "gamma_m":  # +/- g0^2 n Re(A)/2
+                    np.multiply(re_a, 0.5 * sign * g2n * gamma_m, out=row)
+                elif name == "kappa_ext":  # -Re(m conj N)/(2 |Q| |N|): |Q| |N| = |Q|^4 |S|/|Q|^2
+                    np.multiply(b * re_n - u * im_n, h * qq * (-1.0 / kappa_ext), out=row)
+                else:  # -/+ Re(m A) g0^2 n for n_cav, twice that for g0
+                    np.multiply(b * re_a - u * neg_im_a, -sign * g2n * (1 + (name == "g0")), row)
         return blocks
 
     return r, jacobian
@@ -368,8 +382,8 @@ def fit(problem: FitProblem) -> FitResult:
     step drops below 1e-10, capped at 200 iterations.  On hitting the cap, or when
     a dataset's residual at the returned point is the penalty, the best parameters
     so far are returned with ``converged=False``; ``termination`` names the reason.
-    Each trial point costs one kernel evaluation per dataset, which gives the residual;
-    the Jacobian blocks are built from the same S21 only at the start and after each
+    Each trial point costs one evaluation of Q and N per dataset, which gives the residual;
+    the Jacobian blocks are built from the same arrays only at the start and after each
     accepted step.  There the scaled normal equations are summed from the blocks and
     decomposed, and the standard errors reuse the last decomposition.
 
@@ -419,7 +433,7 @@ def fit(problem: FitProblem) -> FitResult:
             lam *= DAMPING_FACTOR
             # Damping has pinned the proposal; no reducing step exists.
             termination = "step_tol" if step_rel < REL_STEP_TOL else None
-        del r_trial, jacobian  # a trial's S21 arrays not alive beside the next trial's
+        del r_trial, jacobian  # a trial's buffer not alive beside the next trial's
 
     # A dataset the model rejects at x gives a flat penalty with a zero Jacobian, so the loop
     # stops there without having fitted anything; its rows would swamp s², so no errors.

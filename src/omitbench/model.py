@@ -6,17 +6,17 @@ A strong pump at ``omega_d`` and a weak probe at ``omega_p`` drive a cavity
 (``omega_m``, ``gamma_m``, vacuum coupling ``g0``).  Input-output theory for
 the side-coupled (notch) geometry gives the probe transmission
 
-    S21 = 1 - (kappa_ext/2) * chi_c / (1 -/+ g0^2 n_cav chi_c chi_m)
+    S21 = 1 - (kappa_ext/2) m / Q = N / Q,   Q = c m -/+ g0^2 n_cav,   N = Q - (kappa_ext/2) m
 
-with the cavity and mechanical susceptibilities
+with the inverse cavity and mechanical susceptibilities
 
-    chi_c^-1 = kappa/2   - i (Omega + Delta)
-    chi_m^-1 = gamma_m/2 - i (Omega +/- omega_m)
+    c = 1/chi_c = kappa/2   - i (Omega + Delta)
+    m = 1/chi_m = gamma_m/2 - i (Omega +/- omega_m)
 
-where ``Omega = omega_p - omega_d`` is the probe offset from the pump,
-``Delta = omega_d - omega_c`` the pump detuning, and the upper (lower) signs
-apply to blue (red) pumping.  Red pumping produces a transparency window
-(OMIT), blue pumping an absorption window (OMIA).  The pump photon number is
+where ``Omega = omega_p - omega_d`` is the probe offset from the pump, ``Delta = omega_d - omega_c``
+the pump detuning, and the upper (lower) signs apply to blue (red) pumping.  The roots of the
+quadratic Q in Omega are the response's poles.  Red pumping produces a transparency window (OMIT),
+blue pumping an absorption window (OMIA).  The pump photon number is
 
     n_cav = P_in * kappa_ext * |chi_c(omega_d)|^2 / (2 hbar omega_d).
 
@@ -57,9 +57,8 @@ __all__ = [
     "CavityParams",
     "MechanicalParams",
     "PumpConfig",
-    "cavity_susceptibility",
-    "mechanical_susceptibility",
     "intracavity_photon_number",
+    "response_quadratic",
     "probe_transmission",
     "mechanical_pole",
     "cooperativity",
@@ -132,11 +131,15 @@ class CavityParams:
     kappa_ext: float
 
     def __post_init__(self):
-        if not 0 < self.omega_c < cmath.inf:
+        self.check(self.omega_c, self.kappa, self.kappa_ext)
+
+    @staticmethod
+    def check(omega_c, kappa, kappa_ext):  # a ValueError names the first value out of range
+        if not 0 < omega_c < cmath.inf:
             raise ValueError("omega_c must be a finite positive number")
-        if not 0 < self.kappa < cmath.inf:
+        if not 0 < kappa < cmath.inf:
             raise ValueError("kappa must be a finite positive number")
-        if not 0 < self.kappa_ext <= self.kappa:
+        if not 0 < kappa_ext <= kappa:
             raise ValueError("kappa_ext must satisfy 0 < kappa_ext <= kappa")
 
     @classmethod
@@ -163,14 +166,17 @@ class MechanicalParams:
     g0: float
 
     def __post_init__(self):
-        if not 0 < self.omega_m < cmath.inf:
+        self.check(self.omega_m, self.gamma_m, self.g0)
+
+    @staticmethod
+    def check(omega_m, gamma_m, g0):  # a ValueError names the first value out of range
+        if not 0 < omega_m < cmath.inf:
             raise ValueError("omega_m must be a finite positive number")
-        if not 0 < self.gamma_m < cmath.inf:
+        if not 0 < gamma_m < cmath.inf:
             raise ValueError("gamma_m must be a finite positive number")
-        if not cmath.isfinite(self.g0):
-            raise ValueError("g0 must be a finite number")
-        if self.g0 < 0:
-            raise ValueError("g0 must be non-negative")
+        if not 0 <= g0 < cmath.inf:
+            raise ValueError(
+                f"g0 must be {'non-negative' if -cmath.inf < g0 < 0 else 'a finite number'}")
 
     @classmethod
     def from_hz(cls, omega_m_hz, gamma_m_hz, g0_hz) -> "MechanicalParams":
@@ -202,60 +208,22 @@ class PumpConfig:
     p_in: float | None = None
 
     def __post_init__(self):
-        if (self.n_cav is None) == (self.p_in is None):
+        self.check(self.delta, self.n_cav, self.p_in)
+
+    @staticmethod
+    def check(delta, n_cav=None, p_in=None):  # a ValueError names the first value out of range
+        if (n_cav is None) == (p_in is None):
             raise ValueError("specify exactly one of n_cav or p_in")
-        for name in ("delta", "n_cav", "p_in"):
-            value = getattr(self, name)
-            if value is not None and not cmath.isfinite(value):
-                raise ValueError(f"{name} must be a finite number")
-            if name != "delta" and value is not None and value < 0:
-                raise ValueError(f"{name} must be non-negative")
+        if not cmath.isfinite(delta):
+            raise ValueError("delta must be a finite number")
+        for name, value in (("n_cav", n_cav), ("p_in", p_in)):
+            if value is not None and not 0 <= value < cmath.inf:
+                kind = "non-negative" if -cmath.inf < value < 0 else "a finite number"
+                raise ValueError(f"{name} must be {kind}")
 
     def omega_d(self, cav: CavityParams) -> float:
         """Absolute pump frequency omega_c + Delta (rad/s)."""
         return cav.omega_c + self.delta
-
-
-def cavity_susceptibility(omega, delta, kappa):
-    """Cavity susceptibility chi_c = 1 / (kappa/2 - i (Omega + Delta)).
-
-    Parameters
-    ----------
-    omega : float or ndarray
-        Probe offset from the pump, Omega = omega_p - omega_d (rad/s).
-    delta : float
-        Pump detuning Delta = omega_d - omega_c (rad/s).
-    kappa : float
-        Total cavity linewidth (rad/s).
-
-    Returns
-    -------
-    complex or ndarray
-        chi_c in 1/(rad/s); |chi_c| peaks at 2/kappa where Omega + Delta = 0.
-    """
-    return 1.0 / (0.5 * kappa - 1j * (np.asarray(omega) + delta))
-
-
-def mechanical_susceptibility(omega, mech: MechanicalParams, scheme: PumpScheme):
-    """Mechanical susceptibility chi_m = 1 / (gamma_m/2 - i (Omega +/- omega_m)).
-
-    The upper sign (Omega + omega_m, peak at Omega = -omega_m) applies to blue
-    pumping, the lower sign (Omega - omega_m, peak at Omega = +omega_m) to red.
-
-    Parameters
-    ----------
-    omega : float or ndarray
-        Probe offset from the pump (rad/s).
-    mech : MechanicalParams
-    scheme : PumpScheme
-
-    Returns
-    -------
-    complex or ndarray
-        chi_m in 1/(rad/s); peak magnitude 2/gamma_m on the sideband.
-    """
-    x = np.asarray(omega) + scheme.aligned_detuning(mech.omega_m)
-    return 1.0 / (0.5 * mech.gamma_m - 1j * x)
 
 
 def intracavity_photon_number(pump: PumpConfig, cav: CavityParams) -> float:
@@ -267,7 +235,7 @@ def intracavity_photon_number(pump: PumpConfig, cav: CavityParams) -> float:
     """
     if pump.n_cav is not None:
         return float(pump.n_cav)
-    chi_d = cavity_susceptibility(0.0, pump.delta, cav.kappa)
+    chi_d = 1.0 / (0.5 * cav.kappa - 1j * np.float64(pump.delta))  # numpy's complex division
     omega_d = pump.omega_d(cav)
     return float(pump.p_in * cav.kappa_ext * abs(chi_d) ** 2 / (2.0 * HBAR * omega_d))
 
@@ -299,69 +267,83 @@ def effective_linewidth(mech: MechanicalParams, coop: float, scheme: PumpScheme)
     return mech.gamma_m * (1.0 - scheme.sign * coop)
 
 
-def mechanical_pole(pump: PumpConfig, cav: CavityParams, mech: MechanicalParams) -> complex:
-    """Least damped root Omega (rad/s) of the denominator 1 -/+ g0^2 n chi_c chi_m.
-
-    With u = Omega + aligned_detuning, d = Delta - aligned_detuning it solves u^2 + b u + c = 0,
-    b = d + i(kappa+gamma_m)/2, c = i gamma_m d/2 - kappa gamma_m/4 +/- g0^2 n, by the pair
-    q = -(b + s sqrt(b^2 - 4c))/2 and c/q, free of cancellation (Numerical Recipes 3rd ed. 5.6).
-    Its width -2 Im Omega, about gamma_m (1 -/+ C_loc) for gamma_m << kappa, is 0 at threshold.
-    """
-    a = pump.scheme.aligned_detuning(mech.omega_m)
-    d = pump.delta - a
-    g2n = pump.scheme.sign * mech.g0 ** 2 * intracavity_photon_number(pump, cav)
-    b = complex(d, 0.5 * (cav.kappa + mech.gamma_m))
-    c = complex(g2n - 0.25 * cav.kappa * mech.gamma_m, 0.5 * mech.gamma_m * d)
+def _pole(delta, kappa, omega_m, gamma_m, g2n, sign):
+    """Least damped root Omega of Q = c m -/+ g0^2 n (``g2n`` = g0^2 n, ``sign`` +1 blue).  In
+    u = Omega + a, a = sign omega_m, Q = -(u^2 + b u + c) with b = d + i (kappa + gamma_m)/2,
+    c = +/- g0^2 n - kappa gamma_m/4 + i gamma_m d/2 and d = Delta - a; of the pair
+    q = -(b + s sqrt(b^2 - 4c))/2 and c/q, free of cancellation (Numerical Recipes 3rd ed. 5.6),
+    the root with the larger imaginary part.  A NaN coefficient gives a NaN root."""
+    a = sign * omega_m
+    d = delta - a
+    b = complex(d, 0.5 * (kappa + gamma_m))
+    c = complex(sign * g2n - 0.25 * kappa * gamma_m, 0.5 * gamma_m * d)
     root = cmath.sqrt(b * b - 4.0 * c)
     q = -0.5 * (b + root if (b.conjugate() * root).real >= 0 else b - root)
-    return (q if q.imag > (c / q).imag else c / q) - a  # a NaN root gives a NaN pole
+    return (q if q.imag > (c / q).imag else c / q) - a
+
+
+def mechanical_pole(pump: PumpConfig, cav: CavityParams, mech: MechanicalParams) -> complex:
+    """Least damped root Omega (rad/s) of the quadratic Q of :func:`response_quadratic`.
+    Its width -2 Im Omega, about gamma_m (1 -/+ C_loc) for gamma_m << kappa, is 0 at threshold."""
+    return _pole(pump.delta, cav.kappa, mech.omega_m, mech.gamma_m,
+                 mech.g0 ** 2 * intracavity_photon_number(pump, cav), pump.scheme.sign)
+
+
+def response_quadratic(omega, delta, kappa, kappa_ext, omega_m, gamma_m, g2n,
+                       scheme: PumpScheme, out=None):
+    """Re Q, Im Q, Re N and Im N, the rows of a (4, len(omega)) array (``out`` if given), at the
+    probe offsets of the 1-D array ``omega`` (rad/s), so that S21 = N/Q.  Here
+    Q = c m -/+ g0^2 n and N = Q - (kappa_ext/2) m, with c = kappa/2 - i (Omega + Delta),
+    m = gamma_m/2 - i (Omega +/- omega_m), ``g2n`` = g0^2 n_cav and ``delta`` = Delta; the upper
+    signs are blue's.  Returns None instead for a blue pump with g2n > 0 (or NaN) whose least
+    damped root of Q has a width -2 Im Omega that is NaN or at most :data:`DENOMINATOR_GUARD`
+    times gamma_m: at or past the parametric instability.
+    """
+    sign = scheme.sign
+    if sign > 0 and not g2n <= 0 and not (
+            -2.0 * _pole(delta, kappa, omega_m, gamma_m, g2n, sign).imag
+            > DENOMINATOR_GUARD * gamma_m):
+        return None
+    re_q, im_q, re_n, im_n = out = np.empty((4, len(omega))) if out is None else out
+    x, y = omega + delta, omega + sign * omega_m  # c = kappa/2 - i x, m = gamma_m/2 - i y
+    np.subtract(0.25 * kappa * gamma_m - sign * g2n, x * y, out=re_q)
+    np.add((-0.5 * kappa) * y, (-0.5 * gamma_m) * x, out=im_q)
+    np.subtract(re_q, 0.25 * kappa_ext * gamma_m, out=re_n)
+    np.add(im_q, 0.5 * kappa_ext * y, out=im_n)
+    return out
 
 
 def probe_transmission(omega, pump: PumpConfig, cav: CavityParams, mech: MechanicalParams):
-    """Complex probe transmission S21 at probe offset(s) ``omega``.
+    """Complex probe transmission S21 = N/Q of :func:`response_quadratic`, a complex or an
+    array, at probe offset(s) ``omega`` = omega_p - omega_d (float or 1-D array, rad/s).
 
-    S21 = 1 - (kappa_ext/2) chi_c / (1 -/+ g0^2 n_cav chi_c chi_m), evaluated
-    at absolute probe frequency omega_p = omega_c + Delta + Omega.  The upper
-    sign (blue) produces absorption, the lower (red) transparency.  With zero
-    pump photons this reduces exactly to the bare notch 1 - chi_c kappa_ext/2;
-    a caller reads chi_c/D, D the denominator, from S21 as (1 - S21)/(kappa_ext/2).
-
-    Parameters
-    ----------
-    omega : float or 1-D ndarray
-        Probe offset(s) Omega = omega_p - omega_d (rad/s).
-    pump : PumpConfig
-    cav : CavityParams
-    mech : MechanicalParams
-
-    Returns
-    -------
-    complex or ndarray
+    The upper sign (blue) produces absorption, the lower (red) transparency.  With
+    g0^2 n_cav = 0 it is the bare notch 1 - (kappa_ext/2) chi_c, evaluated as such.
 
     Raises
     ------
     SingularDenominator
-        If a blue pump with n_cav > 0 has a :func:`mechanical_pole` width at or
-        below :data:`DENOMINATOR_GUARD` times gamma_m, or a NaN pole, whatever
-        the probe grid; the message names the pump.  A red pump is always stable.
+        If :func:`response_quadratic` refuses a blue pump, whatever the probe grid; the message
+        names the pump and its :func:`mechanical_pole` width.  A red pump is always stable.
     ValueError
         If the probe grid ``omega`` is empty.
     """
-    n_cav = intracavity_photon_number(pump, cav)
-    if pump.scheme is PumpScheme.BLUE and n_cav > 0:
-        width = -2.0 * mechanical_pole(pump, cav, mech).imag
-        if not width > DENOMINATOR_GUARD * mech.gamma_m:
+    scalar = np.ndim(omega) == 0
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    g2n = mech.g0 ** 2 * intracavity_photon_number(pump, cav)
+    if g2n == 0:
+        s21 = 1.0 - 0.5 * cav.kappa_ext * (1.0 / (0.5 * cav.kappa - 1j * (omega + pump.delta)))
+    else:
+        terms = response_quadratic(omega, pump.delta, cav.kappa, cav.kappa_ext, mech.omega_m,
+                                   mech.gamma_m, g2n, pump.scheme)
+        if terms is None:
+            width = -2.0 * mechanical_pole(pump, cav, mech).imag
             drive = f"n_cav={pump.n_cav:g}" if pump.n_cav is not None else f"p_in={pump.p_in:g} W"
             raise SingularDenominator(
                 f"singular response at scheme=blue, detuning_hz={pump.delta / TWO_PI:g}, "
                 f"{drive}: blue pumping past the parametric instability (mechanical pole "
                 f"width {width / TWO_PI:.6g} Hz); steady-state response is undefined")
-    scalar = np.ndim(omega) == 0
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+        s21 = (terms[2] + 1j * terms[3]) / (terms[0] + 1j * terms[1])  # N/Q
     if omega.size == 0:
         raise ValueError("empty probe grid: need at least one probe offset omega")
-    chi_c = cavity_susceptibility(omega, pump.delta, cav.kappa)
-    chi_m = mechanical_susceptibility(omega, mech, pump.scheme)
-    denom = 1.0 - pump.scheme.sign * (mech.g0 ** 2) * n_cav * chi_c * chi_m
-    s21 = 1.0 - 0.5 * cav.kappa_ext * chi_c / denom
     return complex(s21[0]) if scalar else s21

@@ -106,6 +106,17 @@ class TestSimulate:
         assert r.exit_code == 3
         assert "singular" in r.output.lower()
 
+    def test_refused_pump_leaves_no_file(self, runner, tmp_path):
+        # The blue pump, past its threshold, is refused after the red one was evaluated:
+        # no file is written, the red pump's included.
+        cfg = write_config(tmp_path, pumps=[{"scheme": "red", "n_cav": 1.3e6},
+                                            {"scheme": "blue", "n_cav": 1.2e6}])
+        r = runner.invoke(main, ["--config", cfg, "--out", str(tmp_path / "p.csv"),
+                                 "simulate", "--svg", str(tmp_path / "p.svg")])
+        assert r.exit_code == 3
+        assert "scheme=blue, detuning_hz=3.8e+06, n_cav=1.2e+06: " in r.output
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_missing_config_exits_2(self, runner, tmp_path):
         r = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "simulate"])
         assert r.exit_code == 2

@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from omitbench import fitting, model
+from omitbench import fitting
 from omitbench.datafiles import DatasetFile, read_dataset, write_dataset
 from omitbench.fitting import (
     FeatureNotFound,
@@ -54,9 +54,9 @@ def cav_hz(kappa_hz, kappa_ext_hz=KAPPA_EXT_HZ):
 
 def make_trace(scheme=PumpScheme.RED, kappa_hz=84e3, n_cav=N_RED_MAX,
                mech=MECH, points=801, noise_sigma=0.0, seed=0,
-               half_width=25.0, kappa_ext_hz=KAPPA_EXT_HZ):
+               half_width=25.0, kappa_ext_hz=KAPPA_EXT_HZ, d_kappa=0.0):
     cav = cav_hz(kappa_hz, kappa_ext_hz)
-    pump = PumpConfig(scheme, scheme.sign * mech.omega_m, n_cav=n_cav)
+    pump = PumpConfig(scheme, scheme.sign * mech.omega_m + d_kappa * cav.kappa, n_cav=n_cav)
     grid = default_line_grid(pump, cav, mech, points=points,
                              half_width_gamma_eff=half_width)
     trace = simulate_line_cut(pump, cav, mech, grid)
@@ -414,16 +414,16 @@ class TestFit:
     def test_one_kernel_evaluation_per_dataset_per_jacobian(self, monkeypatch):
         # Every dataset is evaluated once for the start point and once per
         # trial step, accepted or rejected; that one evaluation gives the residual
-        # and, at an accepted point, the S21 the Jacobian blocks are built from, so
-        # no accepted point is evaluated again.
+        # and, at an accepted point, the Q and N the Jacobian blocks are built from,
+        # so no accepted point is evaluated again.
         prob = joint_six_problem()
         calls = []
 
-        def counted(*args, _inner=fitting.probe_transmission, **kwargs):
+        def counted(*args, _inner=fitting.response_quadratic, **kwargs):
             calls.append(args[0])
             return _inner(*args, **kwargs)
 
-        monkeypatch.setattr(fitting, "probe_transmission", counted)
+        monkeypatch.setattr(fitting, "response_quadratic", counted)
         result = fit(prob)
         assert result.termination == "reduction_tol"
         assert result.iterations > len(result.cost_history) - 1  # a rejected trial
@@ -540,46 +540,8 @@ def dense_residuals(problem, values):
     r, make_blocks = residuals(problem, values)
     jac = np.zeros((problem.n_points, problem.n_parameters))
     for i, block in make_blocks().items():
-        jac[problem._rows[i], list(problem._params[i][1].values())] = block.T
+        jac[problem._rows[i], list(problem._slot_of[i].values())] = block.T
     return r, jac
-
-
-def reference_blocks(problem, values):
-    """The Jacobian blocks by the arithmetic ``residuals`` used before it wrote them in
-    place: divisions by |S| and kappa_ext/2, each row a new array, stacked by np.array."""
-    blocks = {}
-    for i, (ds, p, (_, slot_of)) in enumerate(zip(
-            problem.datasets, problem.dataset_values(values), problem._params)):
-        try:
-            mech = MechanicalParams(p["omega_m"], p["gamma_m"], p["g0"])
-            s21 = probe_transmission(
-                ds.offsets, PumpConfig(ds.scheme, ds.omega_d - p["omega_c"], n_cav=p["n_cav"]),
-                CavityParams(p["omega_c"], p["kappa"], p["kappa_ext"]), mech)
-        except (model.SingularDenominator, ValueError):
-            continue
-        mag = np.abs(s21)
-        if not slot_of or not np.isfinite(mag).all():
-            continue
-        w = np.divide(s21.conj(), mag, out=np.zeros_like(s21), where=mag > 0)
-        sign, coupling = ds.scheme.sign, p["g0"] ** 2 * p["n_cav"]
-        chi_m = model.mechanical_susceptibility(ds.offsets, mech, ds.scheme)
-        q = (1.0 - s21) / (0.5 * p["kappa_ext"])
-        wb = w * (0.5 * p["kappa_ext"]) * q * q
-        d_coupling = -sign * (wb * chi_m).real
-        wm = coupling * wb * chi_m * chi_m
-        grads = dict(omega_c=-wb.imag, kappa=0.5 * wb.real, kappa_ext=-0.5 * (w * q).real,
-                     g0=2.0 * p["g0"] * p["n_cav"] * d_coupling, n_cav=p["g0"] ** 2 * d_coupling,
-                     omega_m=wm.imag, gamma_m=0.5 * sign * wm.real)
-        blocks[i] = np.array([grads[name] * p[name] if name in fitting.LOG_PARAMS else grads[name]
-                              for name in slot_of])
-    return blocks
-
-
-def assert_blocks_equal_the_reference(problem, values):
-    blocks, ref = residuals(problem, values)[1](), reference_blocks(problem, values)
-    assert list(blocks) == list(ref)
-    for i in ref:
-        assert np.array_equal(blocks[i], ref[i]), i
 
 
 def single_trace_problem(scheme, kappa_ext_hz=KAPPA_EXT_HZ):
@@ -606,6 +568,19 @@ def jacobian(problem, x):
     return dense_residuals(problem, fitting._to_physical(x, problem._log_flags))[1]
 
 
+def assert_matches_central_difference(problem, x):
+    """Each Jacobian column at the internal point x within 1e-5 of its largest
+    entry of the central difference.  Linear slots (omega_c, kappa_ext, omega_m) step
+    by 0.01 rad/s, far below gamma_eff (64 rad/s blue, 218 red), log slots by 1e-6; the
+    difference's truncation and rounding errors stay below 1e-7 of that scale."""
+    steps = np.where(problem._log_flags, 1e-6, 1e-2)
+    jac, ref = jacobian(problem, x), central_difference(problem, x, steps)
+    for j, slot in enumerate(problem.slot_names):
+        scale = np.max(np.abs(ref[:, j]))
+        assert scale > 0, slot
+        assert np.max(np.abs(jac[:, j] - ref[:, j])) <= 1e-5 * scale, slot
+
+
 def central_difference(problem, x, steps):
     """Reference: each column from the stacked residual at x -/+ h, h from
     ``steps`` (internal units), divided by the float distance between the two."""
@@ -619,11 +594,12 @@ def central_difference(problem, x, steps):
     return np.column_stack(columns)
 
 
-def all_free_problem(scheme, kappa_ext_hz=KAPPA_EXT_HZ):
-    """One noisy trace with all seven parameters free, started off the truth."""
+def all_free_problem(scheme, kappa_ext_hz=KAPPA_EXT_HZ, d_kappa=0.0):
+    """One noisy trace with all seven parameters free, started off the truth; the pump
+    ``d_kappa`` cavity linewidths off the sideband."""
     n_cav = N_RED_MAX if scheme is PumpScheme.RED else N_BLUE_MAX
     trace, cav, _ = make_trace(scheme, 84e3, n_cav, points=1601, noise_sigma=0.01, seed=5,
-                               kappa_ext_hz=kappa_ext_hz)
+                               kappa_ext_hz=kappa_ext_hz, d_kappa=d_kappa)
     truth = {"omega_c": cav.omega_c, "kappa": cav.kappa, "kappa_ext": cav.kappa_ext,
              "omega_m": MECH.omega_m, "gamma_m": MECH.gamma_m, "g0": MECH.g0, "n_cav": n_cav}
     start = {"omega_c": cav.omega_c + 0.1 * cav.kappa, "kappa": 1.05 * cav.kappa,
@@ -636,43 +612,35 @@ def all_free_problem(scheme, kappa_ext_hz=KAPPA_EXT_HZ):
 
 
 class TestSparseJacobian:
-    @pytest.mark.parametrize("scheme, kappa_ext_hz", [
-        (PumpScheme.RED, KAPPA_EXT_HZ), (PumpScheme.BLUE, KAPPA_EXT_HZ),
-        (PumpScheme.RED, 840.0)], ids=["red", "blue", "red-undercoupled"])
-    def test_equals_small_step_central_difference(self, scheme, kappa_ext_hz):
-        # Linear slots (omega_c, kappa_ext, omega_m) step by 0.01 rad/s, far
-        # below gamma_eff (64 rad/s blue, 218 red); log slots by 1e-6.  At
-        # kappa_ext/kappa = 0.01, 1 - S21, from which the Jacobian takes
-        # chi_c/D, is small.
-        prob = all_free_problem(scheme, kappa_ext_hz)
+    @pytest.mark.parametrize("scheme, kappa_ext_hz, d_kappa", [
+        (PumpScheme.RED, KAPPA_EXT_HZ, 0.0), (PumpScheme.BLUE, KAPPA_EXT_HZ, 0.0),
+        (PumpScheme.RED, KAPPA_EXT_HZ, 0.5), (PumpScheme.BLUE, KAPPA_EXT_HZ, 0.5),
+        (PumpScheme.RED, 840.0, 0.0)],
+        ids=["red", "blue", "red-off-sideband", "blue-off-sideband", "red-undercoupled"])
+    def test_all_seven_slots_equal_the_central_difference(self, scheme, kappa_ext_hz, d_kappa):
+        # The pump on the sideband and 0.5 kappa off it.  At kappa_ext/kappa = 0.01,
+        # N is close to Q and 1 - S21 small.
+        prob = all_free_problem(scheme, kappa_ext_hz, d_kappa)
         assert set(prob.slot_params) == set(fitting.PARAM_NAMES)
-        x = internal_start(prob)
-        steps = np.where(prob._log_flags, 1e-6, 1e-2)
-        jac, ref = jacobian(prob, x), central_difference(prob, x, steps)
-        for j, slot in enumerate(prob.slot_names):
-            scale = np.max(np.abs(ref[:, j]))
-            assert scale > 0, slot
-            assert np.max(np.abs(jac[:, j] - ref[:, j])) <= 1e-5 * scale, slot
+        assert_matches_central_difference(prob, internal_start(prob))
 
     @pytest.mark.parametrize("at", ["start", "fitted"])
     @pytest.mark.parametrize("problem", [
         joint_six_problem, partial(single_trace_problem, PumpScheme.RED),
         partial(single_trace_problem, PumpScheme.BLUE),
-        partial(single_trace_problem, PumpScheme.RED, 840.0),
-        partial(all_free_problem, PumpScheme.RED), partial(all_free_problem, PumpScheme.BLUE)],
-        ids=["joint-six", "red", "blue", "red-undercoupled", "all-free-red", "all-free-blue"])
-    def test_blocks_keep_the_bits_of_the_reference_arithmetic(self, problem, at):
-        # Multiplying by 1/|S| and 1/(kappa_ext/2) gives the bits of numpy's complex
-        # division by c + 0i; the all-free problems reach the kappa_ext, g0 and n_cav rows.
+        partial(single_trace_problem, PumpScheme.RED, 840.0)],
+        ids=["joint-six", "red", "blue", "red-undercoupled"])
+    def test_blocks_equal_the_central_difference(self, problem, at):
         prob = problem()
-        values = (fitting._to_physical(internal_start(prob), prob._log_flags) if at == "start"
-                  else np.array(list(fit(prob).values.values())))
-        assert_blocks_equal_the_reference(prob, values)
+        x = internal_start(prob)
+        if at == "fitted":
+            x = fitting._to_internal(list(fit(prob).values.values()), prob._log_flags)
+        assert_matches_central_difference(prob, x)
 
     def test_columns_fill_only_the_rows_of_datasets_that_read_the_slot(self):
         prob = joint_six_problem()
         jac = jacobian(prob, internal_start(prob))
-        readers = [[i for i, (_, slot_of) in enumerate(prob._params) if j in slot_of.values()]
+        readers = [[i for i, slot_of in enumerate(prob._slot_of) if j in slot_of.values()]
                    for j in range(prob.n_parameters)]
         # 12 free slots read by 1 dataset, 6 shared slots read by 2.
         assert sorted(map(len, readers)) == [1] * 12 + [2] * 6
@@ -709,14 +677,13 @@ class TestSparseJacobian:
         x = internal_start(prob)
         r_ref, jac_ref = dense_residuals(prob, fitting._to_physical(x, prob._log_flags))
 
-        def broken(omega, *args, _inner=fitting.probe_transmission):
-            s21 = _inner(omega, *args)
+        def broken(omega, *args, _inner=fitting.response_quadratic, **kwargs):
+            terms = _inner(omega, *args, **kwargs)
             if omega is prob.datasets[0].offsets:
-                s21 = s21.copy()
-                s21[7] = np.nan
-            return s21
+                terms[0, 7] = np.nan  # Re Q
+            return terms
 
-        monkeypatch.setattr(fitting, "probe_transmission", broken)
+        monkeypatch.setattr(fitting, "response_quadratic", broken)
         r, jac = dense_residuals(prob, fitting._to_physical(x, prob._log_flags))
         rows, others = prob._rows[0], slice(prob._rows[1].start, None)
         assert np.all(r[rows] == fitting.PENALTY_RESIDUAL)
@@ -784,45 +751,41 @@ class TestSparseJacobian:
 
     @staticmethod
     def _count_model_calls(monkeypatch):
-        """Count the kernel's calls and each susceptibility's, in the kernel or outside."""
-        counts, depth = Counter(), [0]
-        for module, name in [(fitting, "probe_transmission"), (model, "cavity_susceptibility"),
-                             (model, "mechanical_susceptibility"),
-                             (fitting, "mechanical_susceptibility")]:
-            def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
-                counts[_name, "in kernel" if depth[0] else "outside"] += 1
-                depth[0] += _name == "probe_transmission"
-                try:
-                    return _inner(*args, **kwargs)
-                finally:
-                    depth[0] -= _name == "probe_transmission"
+        """Count the calls of ``response_quadratic`` and of the Jacobian closures."""
+        counts = Counter()
 
-            monkeypatch.setattr(module, name, counted)
+        def counted(*args, _inner=fitting.response_quadratic, **kwargs):
+            counts["response_quadratic"] += 1
+            return _inner(*args, **kwargs)
+
+        def counted_residuals(*args, _inner=fitting.residuals):
+            r, make_blocks = _inner(*args)
+
+            def counted_blocks():
+                counts["jacobian"] += 1
+                return make_blocks()
+            return r, counted_blocks
+
+        monkeypatch.setattr(fitting, "response_quadratic", counted)
+        monkeypatch.setattr(fitting, "residuals", counted_residuals)
         return counts
 
     def test_one_kernel_evaluation_per_dataset(self, monkeypatch):
-        # The kernel computes both susceptibilities; the Jacobian blocks read
-        # chi_c/D from S21 and compute only chi_m again.
+        # One response_quadratic per dataset gives its residual and its block.
         prob = joint_six_problem()
         counts = self._count_model_calls(monkeypatch)
         jacobian(prob, internal_start(prob))
-        assert counts == {("probe_transmission", "outside"): 6,
-                          ("cavity_susceptibility", "in kernel"): 6,
-                          ("mechanical_susceptibility", "in kernel"): 6,
-                          ("mechanical_susceptibility", "outside"): 6}
+        assert counts == {"response_quadratic": 6}
 
     def test_blocks_built_only_at_accepted_points(self, monkeypatch):
-        # The kernel runs at the start and at every trial step; the blocks, and
-        # with them chi_m outside the kernel, only at the start and each accepted step.
+        # The kernel runs at the start and at every trial step; the blocks only at
+        # the start and each accepted step.
         prob = joint_six_problem()
         counts = self._count_model_calls(monkeypatch)
         result = fit(prob)
         assert result.iterations > len(result.cost_history) - 1  # a rejected trial
-        n = len(prob.datasets)
-        assert counts == {("probe_transmission", "outside"): n * result.n_residual_evals,
-                          ("cavity_susceptibility", "in kernel"): n * result.n_residual_evals,
-                          ("mechanical_susceptibility", "in kernel"): n * result.n_residual_evals,
-                          ("mechanical_susceptibility", "outside"): n * len(result.cost_history)}
+        assert counts == {"response_quadratic": len(prob.datasets) * result.n_residual_evals,
+                          "jacobian": len(result.cost_history)}
 
     def test_stderr_from_the_jacobian_at_the_returned_point(self, monkeypatch):
         # The fit's last trial is rejected: a Jacobian kept from that trial, not
@@ -872,8 +835,6 @@ class TestSparseJacobian:
         assert zero.tolist() == [300]
         assert np.all(jac[zero] == 0)
         assert np.all(np.isfinite(jac)) and np.all(np.any(jac, axis=0))
-        assert_blocks_equal_the_reference(
-            prob, fitting._to_physical(internal_start(prob), prob._log_flags))
 
     def test_stderr_nan_for_a_slot_its_only_reader_ignores(self):
         # Trace 1 has the pump off, so its free g0 moves nothing; gamma_m is

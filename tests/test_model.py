@@ -24,13 +24,12 @@ from omitbench.model import (
     PumpConfig,
     PumpScheme,
     SingularDenominator,
-    cavity_susceptibility,
     cooperativity,
     effective_linewidth,
     intracavity_photon_number,
     mechanical_pole,
-    mechanical_susceptibility,
     probe_transmission,
+    response_quadratic,
 )
 
 # System values used throughout: 6 GHz cavity, kappa_ext/2pi = 44 kHz,
@@ -68,42 +67,74 @@ def n_for_coop(c, kappa_hz):
     return c * kappa_hz * GAMMA_M_HZ / (4.0 * G0_HZ ** 2)
 
 
-class TestSusceptibilities:
-    def test_cavity_peak_value_on_resonance(self):
-        kappa = TWO_PI * 1e5
-        chi = cavity_susceptibility(0.0, 0.0, kappa)
-        assert chi == pytest.approx(2.0 / kappa, rel=1e-14)
-        assert chi.imag == 0.0
+def susceptibility_s21(omega, pump, cav, mech):
+    """S21 = 1 - (kappa_ext/2) chi_c / (1 -/+ g0^2 n chi_c chi_m) with chi_c and chi_m
+    written out: three complex divisions, an arithmetic apart from the kernel's N/Q."""
+    chi_c = 1.0 / (0.5 * cav.kappa - 1j * (omega + pump.delta))
+    chi_m = 1.0 / (0.5 * mech.gamma_m - 1j * (omega + pump.scheme.sign * mech.omega_m))
+    coupling = mech.g0 ** 2 * intracavity_photon_number(pump, cav)
+    return 1.0 - 0.5 * cav.kappa_ext * chi_c / (1.0 - pump.scheme.sign * coupling * chi_c * chi_m)
 
+
+def quadratic_terms(omega, pump, cav, mech):
+    """Q and N of ``response_quadratic`` as complex arrays."""
+    re_q, im_q, re_n, im_n = response_quadratic(
+        omega, pump.delta, cav.kappa, cav.kappa_ext, mech.omega_m, mech.gamma_m,
+        mech.g0 ** 2 * intracavity_photon_number(pump, cav), pump.scheme)
+    return re_q + 1j * im_q, re_n + 1j * im_n
+
+
+class TestResponseQuadratic:
     def test_cavity_peak_location(self):
-        kappa = TWO_PI * 1e5
-        delta = TWO_PI * -3.8e6
+        # Pump off, 1 - S21 is (kappa_ext/2) chi_c, whose magnitude peaks at Omega = -Delta.
+        cav = cav_hz(1e5)
+        pump = PumpConfig(PumpScheme.RED, TWO_PI * -3.8e6, n_cav=0.0)
         omega = np.linspace(TWO_PI * 3.7e6, TWO_PI * 3.9e6, 2001)
-        mags = np.abs(cavity_susceptibility(omega, delta, kappa))
+        mags = np.abs(1.0 - probe_transmission(omega, pump, cav, MECH))
         assert np.argmax(mags) == 1000  # grid midpoint sits at Omega = -Delta
+        assert mags[1000] == pytest.approx(cav.kappa_ext / cav.kappa, rel=1e-14)
 
     @given(x=st.floats(min_value=1.0, max_value=1e7))
     @settings(max_examples=50, deadline=None)
     def test_cavity_conjugate_symmetry(self, x):
-        kappa = TWO_PI * 1e5
-        delta = TWO_PI * -3.8e6
-        above = cavity_susceptibility(-delta + x, delta, kappa)
-        below = cavity_susceptibility(-delta - x, delta, kappa)
+        cav = cav_hz(1e5)
+        pump = PumpConfig(PumpScheme.RED, TWO_PI * -3.8e6, n_cav=0.0)
+        above = probe_transmission(-pump.delta + x, pump, cav, MECH)
+        below = probe_transmission(-pump.delta - x, pump, cav, MECH)
         assert above == pytest.approx(np.conj(below), rel=1e-12)
 
-    def test_mechanical_peak_red_at_plus_omega_m(self):
-        chi = mechanical_susceptibility(MECH.omega_m, MECH, PumpScheme.RED)
-        assert abs(chi) == pytest.approx(2.0 / MECH.gamma_m, rel=1e-14)
+    @pytest.mark.parametrize("scheme", PumpScheme)
+    def test_mechanical_factor_peaks_on_the_sideband(self, scheme):
+        # (Q - N)/(kappa_ext/2) = m = gamma_m/2 - i (Omega +/- omega_m): gamma_m/2 on the
+        # sideband Omega = -/+ omega_m, and |m|^2 doubles gamma_m/2 away from it.
+        cav = cav_hz(84e3)
+        a = scheme.aligned_detuning(MECH.omega_m)
+        pump = PumpConfig(scheme, a, n_cav=N_BLUE_MAX)
+        omega = -a + np.array([-0.5, 0.0, 0.5]) * MECH.gamma_m
+        q, n = quadratic_terms(omega, pump, cav, MECH)
+        m = (q - n) / (0.5 * cav.kappa_ext)
+        assert m[1] == pytest.approx(0.5 * MECH.gamma_m, rel=1e-9)
+        np.testing.assert_allclose(np.abs(m[[0, 2]]) ** 2, 2.0 * (0.5 * MECH.gamma_m) ** 2,
+                                   rtol=1e-9)
 
-    def test_mechanical_peak_blue_at_minus_omega_m(self):
-        chi = mechanical_susceptibility(-MECH.omega_m, MECH, PumpScheme.BLUE)
-        assert abs(chi) == pytest.approx(2.0 / MECH.gamma_m, rel=1e-14)
-
-    def test_mechanical_width(self):
-        # Half-power points of |chi_m|^2 sit gamma_m/2 from the peak.
-        for off in (+0.5 * MECH.gamma_m, -0.5 * MECH.gamma_m):
-            chi = mechanical_susceptibility(MECH.omega_m + off, MECH, PumpScheme.RED)
-            assert abs(chi) ** 2 == pytest.approx(2.0 / MECH.gamma_m ** 2, rel=1e-12)
+    @given(scheme=st.sampled_from(PumpScheme), d_kappa=st.floats(-2.0, 2.0),
+           coop=st.floats(0.0, 0.9), offset=st.floats(-50.0, 50.0))
+    @settings(max_examples=100, deadline=None)
+    def test_q_is_c_m_minus_or_plus_the_coupling(self, scheme, d_kappa, coop, offset):
+        # Q = c m -/+ g0^2 n and N = Q - (kappa_ext/2) m with c and m written out as complex
+        # numbers.  The kernel forms them in real arithmetic, so the two differ by rounding:
+        # within 1e-14 of |c m| + g0^2 n, the scale of the terms that cancel.
+        cav = cav_hz(84e3)
+        a = scheme.aligned_detuning(MECH.omega_m)
+        pump = PumpConfig(scheme, a + d_kappa * cav.kappa, n_cav=n_for_coop(coop, 84e3))
+        omega = np.array([-a + offset * MECH.gamma_m])
+        c = 0.5 * cav.kappa - 1j * (omega + pump.delta)
+        m = 0.5 * MECH.gamma_m - 1j * (omega + a)
+        coupling = MECH.g0 ** 2 * pump.n_cav
+        q, n = quadratic_terms(omega, pump, cav, MECH)
+        scale = abs(c * m) + coupling
+        assert abs(q - (c * m - scheme.sign * coupling)) <= 1e-14 * scale
+        assert abs(n - (q - 0.5 * cav.kappa_ext * m)) <= 1e-14 * scale
 
 
 class TestPhotonNumber:
@@ -203,9 +234,23 @@ class TestProbeTransmission:
         omega = np.linspace(MECH.omega_m - 3 * cav.kappa,
                             MECH.omega_m + 3 * cav.kappa, 501)
         got = probe_transmission(omega, pump, cav, MECH)
-        bare = 1.0 - 0.5 * cav.kappa_ext * cavity_susceptibility(
-            omega, pump.delta, cav.kappa)
+        bare = 1.0 - 0.5 * cav.kappa_ext * (1.0 / (0.5 * cav.kappa - 1j * (omega + pump.delta)))
         assert np.array_equal(got, bare)
+
+    @pytest.mark.parametrize("scheme", PumpScheme)
+    @pytest.mark.parametrize("d_kappa", [0.0, 0.5])
+    def test_equals_the_susceptibility_closed_form(self, scheme, d_kappa):
+        # N/Q against chi_c/chi_m arithmetic at full drive, with the sideband on the cavity
+        # and 0.5 kappa off it, over +/- 25 gamma_eff and +/- 2 kappa.  Both round
+        # differently; a few 1e-16 apart is expected, so the tolerance is 1e-13.
+        cav = cav_hz(84e3)
+        a = scheme.aligned_detuning(MECH.omega_m)
+        n_cav = N_RED_MAX if scheme is PumpScheme.RED else N_BLUE_MAX
+        pump = PumpConfig(scheme, a + d_kappa * cav.kappa, n_cav=n_cav)
+        omega = -a + np.concatenate([np.linspace(-2.0, 2.0, 401) * cav.kappa,
+                                     np.linspace(-25.0, 25.0, 401) * TWO_PI * 35.0])
+        got = probe_transmission(omega, pump, cav, MECH)
+        assert np.max(np.abs(got - susceptibility_s21(omega, pump, cav, MECH))) <= 1e-13
 
     def test_red_peak_matches_closed_form(self):
         cav = cav_hz(84e3)
