@@ -342,13 +342,19 @@ def read_map(path) -> SweepMap:
         if header[0] != MAP_HEADER_LABEL:
             raise DatasetFormatError(
                 path, lineno, f"expected header starting with {MAP_HEADER_LABEL!r}")
-        return np.array(_floats(path, lineno, header[1:], "axis value"))
+        omega_hz = np.array(_floats(path, lineno, header[1:], "axis value"))
+        if not np.all(np.diff(omega_hz) > 0):
+            raise DatasetFormatError(path, lineno, "probe offset axis must be strictly increasing")
+        return omega_hz
 
     omega_hz, table = _read_csv(path, meta, check_header)
     if table is None or not len(table):
         raise DatasetFormatError(path, 0, "no matrix content")
-    return SweepMap(TWO_PI * table[:, 0], TWO_PI * omega_hz,
-                    np.ascontiguousarray(table[:, 1:]), meta)
+    try:
+        return SweepMap(TWO_PI * table[:, 0], TWO_PI * omega_hz,
+                        np.ascontiguousarray(table[:, 1:]), meta)
+    except ValueError as exc:  # a detuning column or probe axis that SweepMap refuses
+        raise DatasetFormatError(path, 0, str(exc)) from None
 
 
 def _suffix(name: str) -> str:

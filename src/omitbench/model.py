@@ -291,21 +291,21 @@ def mechanical_pole(pump: PumpConfig, cav: CavityParams, mech: MechanicalParams)
 
 def response_quadratic(omega, delta, kappa, kappa_ext, omega_m, gamma_m, g2n,
                        scheme: PumpScheme, out=None):
-    """Re Q, Im Q, Re N and Im N, the rows of a (4, len(omega)) array (``out`` if given), at the
-    probe offsets of the 1-D array ``omega`` (rad/s), so that S21 = N/Q.  Here
+    """Re Q, Im Q, Re N and Im N stacked on the first axis of an array (``out`` if given), at the
+    probe offsets ``omega`` (rad/s; 1-D, or 2-D with one row per pump), so that S21 = N/Q.  Here
     Q = c m -/+ g0^2 n and N = Q - (kappa_ext/2) m, with c = kappa/2 - i (Omega + Delta),
-    m = gamma_m/2 - i (Omega +/- omega_m), ``g2n`` = g0^2 n_cav and ``delta`` = Delta; the upper
-    signs are blue's.  Returns None instead for a blue pump with g2n > 0 (or NaN) whose least
-    damped root of Q has a width -2 Im Omega that is NaN or at most :data:`DENOMINATOR_GUARD`
-    times gamma_m: at or past the parametric instability.
+    m = gamma_m/2 - i (Omega +/- omega_m), ``g2n`` = g0^2 n_cav and ``delta`` = Delta, each a float
+    or an (r, 1) column, one value per pump; the upper signs are blue's.  Returns None instead if a
+    blue pump with g2n > 0 (or NaN) has a least damped root of Q of width -2 Im Omega NaN or at most
+    :data:`DENOMINATOR_GUARD` times gamma_m: at or past the parametric instability.
     """
     sign = scheme.sign
-    if sign > 0 and not g2n <= 0 and not (
-            -2.0 * _pole(delta, kappa, omega_m, gamma_m, g2n, sign).imag
-            > DENOMINATOR_GUARD * gamma_m):
+    if sign > 0 and any(not g <= 0 and not (
+            -2.0 * _pole(d, kappa, omega_m, gamma_m, g, sign).imag > DENOMINATOR_GUARD * gamma_m)
+            for d, g in np.broadcast(delta, g2n)):
         return None
-    re_q, im_q, re_n, im_n = out = np.empty((4, len(omega))) if out is None else out
     x, y = omega + delta, omega + sign * omega_m  # c = kappa/2 - i x, m = gamma_m/2 - i y
+    re_q, im_q, re_n, im_n = out = np.empty((4, *x.shape)) if out is None else out
     np.subtract(0.25 * kappa * gamma_m - sign * g2n, x * y, out=re_q)
     np.add((-0.5 * kappa) * y, (-0.5 * gamma_m) * x, out=im_q)
     np.subtract(re_q, 0.25 * kappa_ext * gamma_m, out=re_n)
@@ -313,30 +313,38 @@ def response_quadratic(omega, delta, kappa, kappa_ext, omega_m, gamma_m, g2n,
     return out
 
 
-def probe_transmission(omega, pump: PumpConfig, cav: CavityParams, mech: MechanicalParams):
+def probe_transmission(omega, pump, cav: CavityParams, mech: MechanicalParams):
     """Complex probe transmission S21 = N/Q of :func:`response_quadratic`, a complex or an
-    array, at probe offset(s) ``omega`` = omega_p - omega_d (float or 1-D array, rad/s).
+    array, at probe offset(s) ``omega`` = omega_p - omega_d (float or 1-D array, rad/s).  A
+    sequence of pumps of one scheme gives row i for pump i, over ``omega`` or its row i (2-D).
 
     The upper sign (blue) produces absorption, the lower (red) transparency.  With
-    g0^2 n_cav = 0 it is the bare notch 1 - (kappa_ext/2) chi_c, evaluated as such.
+    g0^2 n_cav = 0 for every pump it is the bare notch 1 - (kappa_ext/2) chi_c, evaluated as such.
 
     Raises
     ------
     SingularDenominator
         If :func:`response_quadratic` refuses a blue pump, whatever the probe grid; the message
-        names the pump and its :func:`mechanical_pole` width.  A red pump is always stable.
+        names the first refused pump and its :func:`mechanical_pole` width.  Red is always stable.
     ValueError
-        If the probe grid ``omega`` is empty.
+        If the probe grid ``omega`` is empty, or the pumps mix schemes.
     """
+    single = isinstance(pump, PumpConfig)
+    pumps = [pump] if single else list(pump)
+    if len({p.scheme for p in pumps}) > 1:
+        raise ValueError("pump sequence mixes red and blue schemes: give one scheme per call")
     scalar = np.ndim(omega) == 0
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    g2n = mech.g0 ** 2 * intracavity_photon_number(pump, cav)
-    if g2n == 0:
-        s21 = 1.0 - 0.5 * cav.kappa_ext * (1.0 / (0.5 * cav.kappa - 1j * (omega + pump.delta)))
+    delta = np.array([p.delta for p in pumps], dtype=float)[:, None]
+    g2n = mech.g0 ** 2 * np.array([intracavity_photon_number(p, cav) for p in pumps])[:, None]
+    if not g2n.any():
+        s21 = 1.0 - 0.5 * cav.kappa_ext * (1.0 / (0.5 * cav.kappa - 1j * (omega + delta)))
     else:
-        terms = response_quadratic(omega, pump.delta, cav.kappa, cav.kappa_ext, mech.omega_m,
-                                   mech.gamma_m, g2n, pump.scheme)
-        if terms is None:
+        scheme, params = pumps[0].scheme, (cav.kappa, cav.kappa_ext, mech.omega_m, mech.gamma_m)
+        terms = response_quadratic(omega, delta, *params, g2n, scheme)
+        if terms is None:  # name the first pump the gate refuses
+            pump = next(p for p, g in zip(pumps, g2n.flat)
+                        if response_quadratic(omega[:0], p.delta, *params, g, scheme) is None)
             width = -2.0 * mechanical_pole(pump, cav, mech).imag
             drive = f"n_cav={pump.n_cav:g}" if pump.n_cav is not None else f"p_in={pump.p_in:g} W"
             raise SingularDenominator(
@@ -346,4 +354,4 @@ def probe_transmission(omega, pump: PumpConfig, cav: CavityParams, mech: Mechani
         s21 = (terms[2] + 1j * terms[3]) / (terms[0] + 1j * terms[1])  # N/Q
     if omega.size == 0:
         raise ValueError("empty probe grid: need at least one probe offset omega")
-    return complex(s21[0]) if scalar else s21
+    return (complex(s21[0, 0]) if scalar else s21[0]) if single else s21

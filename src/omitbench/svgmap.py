@@ -91,6 +91,12 @@ def _to_db(mag: np.ndarray) -> np.ndarray:
     return 20.0 * np.log10(np.maximum(mag, 1e-12))
 
 
+def _span_hz(axis: np.ndarray) -> tuple[float, float]:
+    """First and last value of a map axis in Hz; a one-point axis spans 1 Hz around its point."""
+    lo, hi = axis[0] / TWO_PI, axis[-1] / TWO_PI
+    return (lo - 0.5, hi + 0.5) if hi == lo else (lo, hi)
+
+
 def render_heatmap(smap: SweepMap, db: bool = False) -> str:
     """Render a sweep map as a standalone SVG heatmap (string).
 
@@ -108,8 +114,7 @@ def render_heatmap(smap: SweepMap, db: bool = False) -> str:
     uri = "data:image/png;base64," + base64.b64encode(png).decode("ascii")
 
     x0, y0, w, h = 100, 40, 520, 420
-    xlo, xhi = smap.omega[0] / TWO_PI, smap.omega[-1] / TWO_PI
-    ylo, yhi = smap.delta[0] / TWO_PI, smap.delta[-1] / TWO_PI
+    (xlo, xhi), (ylo, yhi) = _span_hz(smap.omega), _span_hz(smap.delta)
     width, height = x0 + w + 120, y0 + h + 60
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

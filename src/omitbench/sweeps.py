@@ -125,8 +125,11 @@ class SweepMap:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "s21_mag", mag)
-        if not (np.all(np.diff(delta) > 0) and np.all(np.diff(omega) > 0)):
-            raise ValueError("map axes must be strictly increasing")
+        for name, axis in (("detuning", delta), ("probe offset", omega)):
+            if not axis.size:
+                raise ValueError(f"map {name} axis is empty: need at least one value")
+            if not np.all(np.diff(axis) > 0):
+                raise ValueError(f"map {name} axis must be strictly increasing")
         if mag.shape != (len(delta), len(omega)):
             raise ValueError("s21_mag shape must be (len(delta), len(omega))")
         if not np.all(np.isfinite(mag)):
@@ -195,8 +198,12 @@ def simulate_line_cut(pump: PumpConfig, cav: CavityParams, mech: MechanicalParam
     """
     meta = _caller_meta(meta)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    s21 = probe_transmission(omega_grid, pump, cav, mech)
-    return SweepTrace(omega=omega_grid, s21=s21, meta={
+    return _trace(pump, cav, omega_grid, probe_transmission(omega_grid, pump, cav, mech), meta)
+
+
+def _trace(pump: PumpConfig, cav: CavityParams, omega, s21, meta: dict) -> SweepTrace:
+    """A trace whose meta records the pump descriptor ahead of the caller's ``meta``."""
+    return SweepTrace(omega=omega, s21=s21, meta={
         "scheme": pump.scheme.value,
         "pump_detuning_hz": pump.delta / TWO_PI,
         "pump_freq_hz": pump.omega_d(cav) / TWO_PI,
@@ -213,7 +220,7 @@ def simulate_map(scheme: PumpScheme, cav: CavityParams, mech: MechanicalParams,
     The drive is either a photon number ``n_cav`` held fixed across detuning
     rows (matching how map-level photon numbers are quoted) or a fixed input
     power ``p_in``, in which case the photon number is recomputed per row
-    from the photon relation.  Rows are line cuts, evaluated one by one.
+    from the photon relation.  Rows are line cuts, all evaluated in one call.
 
     Raises
     ------
@@ -226,10 +233,8 @@ def simulate_map(scheme: PumpScheme, cav: CavityParams, mech: MechanicalParams,
     base = PumpConfig(scheme, 0.0, n_cav=n_cav, p_in=p_in)
     delta_grid = np.asarray(delta_grid, dtype=float)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    rows = np.empty((len(delta_grid), len(omega_grid)))
-    for r, delta in enumerate(delta_grid):
-        pump = replace(base, delta=float(delta))
-        rows[r] = np.abs(probe_transmission(omega_grid, pump, cav, mech))
+    pumps = [replace(base, delta=float(delta)) for delta in delta_grid]
+    rows = np.abs(probe_transmission(omega_grid, pumps, cav, mech))
     drive = {"n_cav": float(n_cav)} if n_cav is not None else {"pump_power_w": float(p_in)}
     return SweepMap(delta=delta_grid, omega=omega_grid, s21_mag=rows,
                     meta={"scheme": scheme.value, **drive, **meta})
@@ -248,14 +253,14 @@ def emulate_protocol(scheme: PumpScheme, cav: CavityParams, mech: MechanicalPara
     One trace per pump step, each centred on the pump sideband and spanning
     the default line-cut width; the pump detunings are the default detuning
     grid, Delta = -/+ omega_m +/- 2 kappa, so the set of absolute sweep
-    centres omega_d -/+ omega_m spans the microwave resonance.
+    centres omega_d -/+ omega_m spans the microwave resonance.  One call
+    evaluates every step's line cut, each over its own default line grid.
     """
-    traces = []
-    for delta in default_delta_grid(scheme, cav, mech, points=PROTOCOL_STEPS):
-        pump = PumpConfig(scheme, float(delta), n_cav=n_cav)
-        grid = default_line_grid(pump, cav, mech)
-        traces.append(simulate_line_cut(pump, cav, mech, grid))
-    return traces
+    pumps = [PumpConfig(scheme, float(delta), n_cav=n_cav)
+             for delta in default_delta_grid(scheme, cav, mech, points=PROTOCOL_STEPS)]
+    grids = np.array([default_line_grid(pump, cav, mech) for pump in pumps])
+    s21 = probe_transmission(grids, pumps, cav, mech)
+    return [_trace(pump, cav, grid, row, {}) for pump, grid, row in zip(pumps, grids, s21)]
 
 
 def add_noise(trace: SweepTrace, noise: NoiseSpec) -> SweepTrace:

@@ -294,6 +294,19 @@ class TestMapRoundTrip:
         assert ":2:" in str(err.value)
         assert "non-finite" in str(err.value)
 
+    @pytest.mark.parametrize("text, where, message", [
+        ("# scheme: red\npump_detuning_hz,1.0,2.0\n0.0,0.5,0.5\n0.0,0.5,0.5\n",
+         0, "map detuning axis must be strictly increasing"),
+        ("# scheme: red\npump_detuning_hz,2.0,1.0\n0.0,0.5,0.5\n",
+         2, "probe offset axis must be strictly increasing"),
+        ("# scheme: red\npump_detuning_hz\n0.0\n", 0, "map probe offset axis is empty"),
+    ], ids=["detuning", "probe", "no-probe"])
+    def test_bad_axis_names_the_file(self, tmp_path, text, where, message):
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(f'{p}:{where}: {message}')}"):
+            read_map(p)
+
 
 @pytest.mark.parametrize("block_values", [datafiles._BLOCK_VALUES, 7, 1])
 class TestGoldenBytes:
@@ -525,11 +538,16 @@ def ref_read_map(path):
         raise DatasetFormatError(
             path, lineno, f"expected header starting with {MAP_HEADER_LABEL!r}")
     omega_hz = np.array(ref_floats(path, lineno, header[1:], "axis value"))
+    if not np.all(np.diff(omega_hz) > 0):
+        raise DatasetFormatError(path, lineno, "probe offset axis must be strictly increasing")
     table = np.array([values for _, values in lines])
     if not len(table):
         raise DatasetFormatError(path, 0, "no matrix content")
-    return SweepMap(TWO_PI * table[:, 0], TWO_PI * omega_hz,
-                    np.ascontiguousarray(table[:, 1:]), meta)
+    try:
+        return SweepMap(TWO_PI * table[:, 0], TWO_PI * omega_hz,
+                        np.ascontiguousarray(table[:, 1:]), meta)
+    except ValueError as exc:
+        raise DatasetFormatError(path, 0, str(exc)) from None
 
 
 def outcome(reader, path):
@@ -646,7 +664,8 @@ def test_reader_matches_line_reader(tmp_path, walks, seed):
                   "comment is not a `key: value` pair", "expected header 'probe",
                   "expected header starting with ", "non-numeric axis value", "no data rows",
                   "no matrix content", "missing column header", "missing `# scheme:` metadata",
-                  "unknown pump scheme"]:
+                  "unknown pump scheme", "probe offset axis must be strictly increasing",
+                  "map detuning axis must be strictly increasing"]:
         assert any(message.startswith(start) for message in seen), start
 
 

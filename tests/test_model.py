@@ -347,6 +347,13 @@ class TestProbeTransmission:
         with pytest.raises(ValueError, match="empty probe grid"):
             probe_transmission(np.array([]), pump, cav, MECH)
 
+    def test_pump_sequence_of_mixed_schemes_is_refused(self):
+        cav = cav_hz(84e3)
+        pumps = [PumpConfig(PumpScheme.RED, -MECH.omega_m, n_cav=N_RED_MAX),
+                 PumpConfig(PumpScheme.BLUE, +MECH.omega_m, n_cav=N_BLUE_MAX)]
+        with pytest.raises(ValueError, match="^pump sequence mixes red and blue schemes"):
+            probe_transmission(np.array([0.0, 1.0]), pumps, cav, MECH)
+
     @given(offset_hz=st.floats(min_value=-1e6, max_value=1e6))
     @settings(max_examples=50, deadline=None)
     def test_magnitude_bounded(self, offset_hz):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omitbench import model
 from omitbench.model import (
     TWO_PI,
     CavityParams,
@@ -83,6 +84,19 @@ def oracle_fwhm(omega, mag):
             break
     assert left is not None and right is not None, "feature not bracketed"
     return right - left
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The probe grid of each ``response_quadratic`` call the model makes."""
+    calls = []
+
+    def counted(*args, _inner=model.response_quadratic, **kwargs):
+        calls.append(args[0])
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(model, "response_quadratic", counted)
+    return calls
 
 
 def red_pump(n=N_RED_MAX):
@@ -249,6 +263,25 @@ class TestMap:
                     assert np.array_equal(smap.s21_mag[r], cut.magnitude()), \
                         (scheme, drive, r)
 
+    @pytest.mark.parametrize("drive", [{"n_cav": N_RED_MAX}, {"p_in": 2e-8}],
+                             ids=["n_cav", "p_in"])
+    def test_one_kernel_call_per_map(self, kernel_calls, drive):
+        cav = cav_hz(84e3)
+        delta_grid = default_delta_grid(PumpScheme.RED, cav, MECH, points=41)
+        omega_grid = default_line_grid(red_pump(), cav, MECH, points=101)
+        smap = simulate_map(PumpScheme.RED, cav, MECH, delta_grid, omega_grid, **drive)
+        assert smap.s21_mag.shape == (41, 101)
+        assert len(kernel_calls) == 1
+        assert np.array_equal(kernel_calls[0], omega_grid)
+
+    def test_empty_detuning_axis_is_refused(self):
+        cav = cav_hz(84e3)
+        omega_grid = default_line_grid(red_pump(), cav, MECH, points=11)
+        with pytest.raises(ValueError, match="^map detuning axis is empty"):
+            simulate_map(PumpScheme.RED, cav, MECH, [], omega_grid, n_cav=N_RED_MAX)
+        with pytest.raises(ValueError, match="^map probe offset axis is empty"):
+            SweepMap(np.array([0.0]), np.array([]), np.ones((1, 0)))
+
     def test_single_row_at_aligned_detuning(self):
         cav = cav_hz(84e3)
         omega_grid = default_line_grid(red_pump(), cav, MECH, points=101)
@@ -408,6 +441,34 @@ class TestProtocol:
         traces = emulate_protocol(scheme, cav, MECH, n_cav=n_cav)
         grid = default_delta_grid(scheme, cav, MECH, points=PROTOCOL_STEPS)
         assert [t.meta["pump_detuning_hz"] for t in traces] == (grid / TWO_PI).tolist()
+
+    @pytest.mark.parametrize("scheme, n_cav", [(PumpScheme.RED, N_RED_MAX),
+                                               (PumpScheme.BLUE, N_BLUE_MAX)],
+                             ids=["red", "blue"])
+    def test_steps_equal_line_cuts_exactly(self, kernel_calls, scheme, n_cav):
+        # One kernel call evaluates every step over its own grid row, and each
+        # trace is the step's line cut over its default grid, bit for bit.
+        cav = cav_hz(84e3)
+        traces = emulate_protocol(scheme, cav, MECH, n_cav=n_cav)
+        assert len(kernel_calls) == 1
+        assert kernel_calls[0].shape == (PROTOCOL_STEPS, LINE_POINTS)
+        deltas = default_delta_grid(scheme, cav, MECH, points=PROTOCOL_STEPS)
+        assert len(traces) == PROTOCOL_STEPS
+        for trace, delta in zip(traces, deltas):
+            pump = PumpConfig(scheme, float(delta), n_cav=n_cav)
+            cut = simulate_line_cut(pump, cav, MECH, default_line_grid(pump, cav, MECH))
+            assert np.array_equal(trace.omega, cut.omega)
+            assert np.array_equal(trace.s21, cut.s21)
+            assert trace.meta == cut.meta
+
+    def test_traces_own_their_grids(self):
+        cav = cav_hz(84e3)
+        traces = emulate_protocol(PumpScheme.RED, cav, MECH, n_cav=N_RED_MAX)
+        before = [t.omega.copy() for t in traces]
+        traces[20].omega[:] = 0.0
+        for i, (trace, omega) in enumerate(zip(traces, before)):
+            if i != 20:
+                assert np.array_equal(trace.omega, omega), i
 
     def test_edge_steps_lose_contrast(self):
         # Transparency window height at the extremal pump steps (sideband
